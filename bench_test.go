@@ -125,7 +125,7 @@ const benchPipelineInsts = 50_000
 // of the core model without value prediction.
 func BenchmarkPipelineBaseline(b *testing.B) {
 	w, _ := trace.ByName("gcc2k")
-	rep := trace.Record(w.Build(benchPipelineInsts), 0)
+	rep := trace.Record(w.Build(benchPipelineInsts), 0, 0)
 	cfg := cpu.DefaultConfig()
 	p := cpu.Acquire(cfg, nil)
 	defer cpu.Release(p)
@@ -149,7 +149,7 @@ func BenchmarkPipelineBaseline(b *testing.B) {
 // full composite predictor attached.
 func BenchmarkPipelineComposite(b *testing.B) {
 	w, _ := trace.ByName("gcc2k")
-	rep := trace.Record(w.Build(benchPipelineInsts), 0)
+	rep := trace.Record(w.Build(benchPipelineInsts), 0, 0)
 	comp := core.NewComposite(core.CompositeConfig{
 		Entries: core.HomogeneousEntries(256), Seed: 1, AM: core.NewPCAM(64),
 	})
@@ -179,7 +179,7 @@ func BenchmarkPipelineComposite(b *testing.B) {
 // assertion of the same invariant).
 func BenchmarkPipelineProgress(b *testing.B) {
 	w, _ := trace.ByName("gcc2k")
-	rep := trace.Record(w.Build(benchPipelineInsts), 0)
+	rep := trace.Record(w.Build(benchPipelineInsts), 0, 0)
 	comp := core.NewComposite(core.CompositeConfig{
 		Entries: core.HomogeneousEntries(256), Seed: 1, AM: core.NewMAMEpoch(10_000),
 	})
@@ -226,7 +226,7 @@ func BenchmarkPipelineSMT4(b *testing.B) {
 		if !ok {
 			b.Fatalf("unknown stream %q", streams[i])
 		}
-		reps[i] = trace.Record(gen, 0)
+		reps[i] = trace.Record(gen, 0, 0)
 		gens[i] = reps[i]
 	}
 	comp := core.NewComposite(core.CompositeConfig{
@@ -270,7 +270,7 @@ func TestReplayedPooledRunMatchesFresh(t *testing.T) {
 	freshEng, _ := mkEng()
 	fresh := cpu.New(cpu.DefaultConfig(), freshEng).Run(w.Build(n), "gcc2k", "bench")
 
-	rep := trace.Record(w.Build(n), 0)
+	rep := trace.Record(w.Build(n), 0, 0)
 	cfg := cpu.DefaultConfig()
 	eng, comp := mkEng()
 	p := cpu.Acquire(cfg, eng)

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -67,21 +68,16 @@ func errorMessage(body []byte) string {
 	return string(bytes.TrimSpace(body))
 }
 
-func (a apiClient) do(ctx context.Context, method, path string, body any) (int, []byte, error) {
-	var rd io.Reader
-	if body != nil {
-		b, err := json.Marshal(body)
-		if err != nil {
-			return 0, nil, err
-		}
-		rd = bytes.NewReader(b)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, a.base+path, rd)
+// maxResponseBytes bounds what the coordinator buffers of one worker
+// response: a whole JSON body, or one event of a job's event stream.
+const maxResponseBytes = 1 << 22
+
+// newRequest builds a request to the worker carrying the coordinator's
+// credential, the sweep's tenant attribution, and the caller's trace.
+func (a apiClient) newRequest(ctx context.Context, method, path string, body io.Reader) (*http.Request, error) {
+	req, err := http.NewRequestWithContext(ctx, method, a.base+path, body)
 	if err != nil {
-		return 0, nil, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
+		return nil, err
 	}
 	if a.apiKey != "" {
 		req.Header.Set("Authorization", "Bearer "+a.apiKey)
@@ -92,12 +88,31 @@ func (a apiClient) do(ctx context.Context, method, path string, body any) (int, 
 	// Propagate the caller's trace (a dispatch span, typically) so the
 	// worker's spans join it; a no-op when ctx carries none.
 	otrace.Inject(req)
+	return req, nil
+}
+
+func (a apiClient) do(ctx context.Context, method, path string, body any) (int, []byte, error) {
+	var rd io.Reader
+	if body != nil {
+		b, err := json.Marshal(body)
+		if err != nil {
+			return 0, nil, err
+		}
+		rd = bytes.NewReader(b)
+	}
+	req, err := a.newRequest(ctx, method, path, rd)
+	if err != nil {
+		return 0, nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
 	resp, err := a.hc.Do(req)
 	if err != nil {
 		return 0, nil, &workerError{err}
 	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(resp.Body, 1<<22))
+	b, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
 	if err != nil {
 		return resp.StatusCode, nil, &workerError{err}
 	}
@@ -108,15 +123,11 @@ func (a apiClient) do(ctx context.Context, method, path string, body any) (int, 
 // content address. Unlike the other calls, the body is the raw encoded
 // artifact, not JSON.
 func (a apiClient) putTrace(ctx context.Context, hash string, data []byte) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, a.base+"/v1/traces/"+hash, bytes.NewReader(data))
+	req, err := a.newRequest(ctx, http.MethodPut, "/v1/traces/"+hash, bytes.NewReader(data))
 	if err != nil {
 		return err
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
-	if a.apiKey != "" {
-		req.Header.Set("Authorization", "Bearer "+a.apiKey)
-	}
-	otrace.Inject(req)
 	resp, err := a.hc.Do(req)
 	if err != nil {
 		return &workerError{err}
@@ -154,21 +165,86 @@ func (a apiClient) submitJob(ctx context.Context, req server.JobRequest) (server
 	}
 }
 
-// getJob fetches a job's status from the worker.
-func (a apiClient) getJob(ctx context.Context, id string) (server.JobStatus, error) {
-	var st server.JobStatus
-	code, body, err := a.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil)
+// terminal reports whether a job state is final. The event stream
+// names its terminal events after these states.
+func terminal(state string) bool {
+	return state == server.StateDone || state == server.StateFailed || state == server.StateCanceled
+}
+
+// followJob follows the job's event stream (GET /v1/jobs/{id}/events)
+// until its terminal event and returns the JobStatus that event
+// carries, result included. Progress events reach onProgress as they
+// arrive.
+func (a apiClient) followJob(ctx context.Context, id string, onProgress func(*server.ProgressView)) (server.JobStatus, error) {
+	req, err := a.newRequest(ctx, http.MethodGet, "/v1/jobs/"+id+"/events", nil)
 	if err != nil {
-		return st, err
+		return server.JobStatus{}, err
 	}
-	if code != http.StatusOK {
+	resp, err := a.hc.Do(req)
+	if err != nil {
+		return server.JobStatus{}, &workerError{err}
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
 		// 404 included: a restarted worker forgot the job — re-dispatch.
-		return st, &workerError{fmt.Errorf("job %s lookup returned %d: %s", id, code, errorMessage(body))}
+		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
+		return server.JobStatus{}, &workerError{fmt.Errorf("job %s events returned %d: %s", id, resp.StatusCode, errorMessage(body))}
 	}
-	if err := json.Unmarshal(body, &st); err != nil {
-		return st, &workerError{fmt.Errorf("undecodable job status: %w", err)}
+	st, err := readJobEvents(resp.Body, onProgress)
+	if err == nil {
+		// The worker closes the stream after the terminal event; reading
+		// to its end returns the connection to the pool.
+		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
 	}
-	return st, nil
+	return st, err
+}
+
+// readJobEvents parses a job's Server-Sent Events stream up to its
+// first terminal event ("done", "failed" or "canceled") and returns the
+// JobStatus that event carries. Comment frames (": ping" keepalives)
+// and the lifecycle edges before the terminal one are skipped;
+// "progress" events are decoded and handed to onProgress. A stream
+// that ends before its terminal event, an undecodable event, or a line
+// longer than maxResponseBytes is a *workerError.
+func readJobEvents(r io.Reader, onProgress func(*server.ProgressView)) (server.JobStatus, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 4096), maxResponseBytes)
+	var event string
+	var data []byte
+	for sc.Scan() {
+		if line := sc.Bytes(); len(line) > 0 {
+			field, value, _ := bytes.Cut(line, []byte(":"))
+			value = bytes.TrimPrefix(value, []byte(" "))
+			switch string(field) {
+			case "event":
+				event = string(value)
+			case "data":
+				// lvpd writes each event's JSON on one data line.
+				data = append(data[:0], value...)
+			}
+			continue // a field line, a comment, or an unknown field
+		}
+		// A blank line dispatches the event gathered since the last one.
+		switch {
+		case event == "progress":
+			var p server.ProgressView
+			if err := json.Unmarshal(data, &p); err != nil {
+				return server.JobStatus{}, &workerError{fmt.Errorf("undecodable progress event: %w", err)}
+			}
+			onProgress(&p)
+		case terminal(event):
+			var st server.JobStatus
+			if err := json.Unmarshal(data, &st); err != nil {
+				return server.JobStatus{}, &workerError{fmt.Errorf("undecodable %s event: %w", event, err)}
+			}
+			return st, nil
+		}
+		event, data = "", data[:0]
+	}
+	if err := sc.Err(); err != nil {
+		return server.JobStatus{}, &workerError{fmt.Errorf("reading job events: %w", err)}
+	}
+	return server.JobStatus{}, &workerError{errors.New("job event stream ended before its terminal event")}
 }
 
 // cancelJob best-effort cancels a job the coordinator no longer wants

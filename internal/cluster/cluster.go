@@ -84,8 +84,8 @@ type Config struct {
 	// dispatches do not bounce off worker backpressure.
 	WorkerSlots int
 
-	// PointDeadline bounds one dispatch attempt, submit through final
-	// poll (default 5 minutes).
+	// PointDeadline bounds one dispatch attempt, submit through the
+	// job's terminal event (default 5 minutes).
 	PointDeadline time.Duration
 
 	// PointRetries is how many failed attempts a point survives beyond
@@ -99,10 +99,6 @@ type Config struct {
 	// 50–150% to avoid thundering re-dispatch.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-
-	// PollInterval is how often a dispatched job is polled on its
-	// worker (default 100ms).
-	PollInterval time.Duration
 
 	// HealthInterval is the worker health-probe period (default 2s);
 	// HealthTimeout bounds each probe (default 1s).
@@ -213,9 +209,6 @@ func (c *Config) applyDefaults() {
 	if c.BackoffMax <= 0 {
 		c.BackoffMax = 5 * time.Second
 	}
-	if c.PollInterval <= 0 {
-		c.PollInterval = 100 * time.Millisecond
-	}
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = 2 * time.Second
 	}
@@ -284,6 +277,11 @@ type Coordinator struct {
 	nextWorker uint64
 	nextSweep  uint64
 
+	// slotFreed is closed, and replaced, whenever a dispatch slot may
+	// have opened; points that found no slot wait on it (see
+	// acquireWorker and wakeWaitersLocked).
+	slotFreed chan struct{}
+
 	// cache is the shared result cache keyed by canonical spec hash.
 	// Retries and duplicate points across sweeps resolve here first.
 	cache *server.ResultCache
@@ -344,6 +342,8 @@ func New(cfg Config) (*Coordinator, error) {
 		byURL:   make(map[string]*worker),
 		sweeps:  make(map[string]*sweep),
 		cache:   server.NewResultCache(cfg.CacheSize),
+
+		slotFreed: make(chan struct{}),
 
 		mDispatched:  reg.Counter("lvpc_points_dispatched_total", "Dispatch attempts sent to workers."),
 		mRetried:     reg.Counter("lvpc_points_retried_total", "Dispatch attempts retried after a failure."),

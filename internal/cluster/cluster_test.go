@@ -48,7 +48,7 @@ func newWorker(t *testing.T) (*httptest.Server, *server.Server) {
 }
 
 // fastConfig returns coordinator knobs scaled for tests: millisecond
-// probe/poll periods and a sub-second quarantine cycle.
+// probe periods and backoffs, and a sub-second quarantine cycle.
 func fastConfig() Config {
 	return Config{
 		DefaultInsts:   20_000,
@@ -57,7 +57,6 @@ func fastConfig() Config {
 		PointRetries:   8,
 		BackoffBase:    5 * time.Millisecond,
 		BackoffMax:     50 * time.Millisecond,
-		PollInterval:   3 * time.Millisecond,
 		HealthInterval: 15 * time.Millisecond,
 		// Generous probe timeout: on a starved single-CPU runner a busy
 		// worker can take hundreds of ms to answer /healthz, and a too-

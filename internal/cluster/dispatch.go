@@ -11,12 +11,6 @@ import (
 	"repro/internal/server"
 )
 
-// workerWaitSlice is how long a dispatch loop sleeps when no worker is
-// currently dispatchable (all quarantined, drained, or saturated)
-// before looking again. Points wait indefinitely for capacity — a fleet
-// that is temporarily empty recovers as soon as a worker registers.
-const workerWaitSlice = 20 * time.Millisecond
-
 // runPoint is one point's dispatch state machine, run on its own
 // goroutine:
 //
@@ -42,11 +36,16 @@ func (c *Coordinator) runPoint(sw *sweep, pt *point) {
 			c.abandonPoint(sw, pt, "coordinator shutting down")
 			return
 		}
-		att := c.acquireWorker()
+		att, slotFreed := c.acquireWorker()
 		if att == nil {
+			// Nothing is dispatchable (all workers quarantined, drained,
+			// or saturated). Points wait indefinitely for capacity: a
+			// released slot or a worker turning active wakes them, so a
+			// fleet that is temporarily empty recovers as soon as a
+			// worker registers.
 			select {
 			case <-c.lifeCtx.Done():
-			case <-time.After(workerWaitSlice):
+			case <-slotFreed:
 			}
 			continue
 		}
@@ -115,8 +114,10 @@ func backoffDelay(base, max time.Duration, fails int) time.Duration {
 
 // acquireWorker reserves a dispatch slot on the least-loaded active
 // worker (ties broken by reported queue depth, then id) and returns the
-// attempt handle, or nil when nothing is dispatchable.
-func (c *Coordinator) acquireWorker() *attempt {
+// attempt handle. When nothing is dispatchable it returns a nil attempt
+// and the channel the next slot release or worker activation closes;
+// taking both under one lock means no wake-up is lost in between.
+func (c *Coordinator) acquireWorker() (*attempt, <-chan struct{}) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var best *worker
@@ -142,7 +143,7 @@ func (c *Coordinator) acquireWorker() *attempt {
 		}
 	}
 	if best == nil {
-		return nil
+		return nil, c.slotFreed
 	}
 	ctx, cancel := context.WithCancel(c.lifeCtx)
 	att := &attempt{w: best, ctx: ctx, cancel: cancel}
@@ -152,7 +153,7 @@ func (c *Coordinator) acquireWorker() *attempt {
 	best.mDispatched.Inc()
 	c.mDispatched.Inc()
 	c.mInflight.Add(1)
-	return att
+	return att, nil
 }
 
 // releaseAttempt returns the attempt's slot and reports whether the
@@ -166,12 +167,23 @@ func (c *Coordinator) releaseAttempt(att *attempt) bool {
 	att.w.inflight--
 	att.w.mInflight.Set(int64(att.w.inflight))
 	c.mInflight.Add(-1)
+	c.wakeWaitersLocked()
 	return att.stolen
 }
 
+// wakeWaitersLocked wakes every point waiting for a dispatch slot; they
+// re-run acquireWorker. Call it whenever a slot may have opened: a
+// release, or a worker turning active. Caller holds c.mu.
+func (c *Coordinator) wakeWaitersLocked() {
+	close(c.slotFreed)
+	c.slotFreed = make(chan struct{})
+}
+
 // attemptOnce runs one dispatch attempt end to end: submit the point's
-// canonical spec, then poll the job until it settles, the attempt
-// deadline passes, or the attempt is cancelled. Worker blame
+// canonical spec, then follow the job's event stream until its terminal
+// event, the attempt deadline passes, or the attempt is cancelled. The
+// terminal event carries the result, and progress events re-export the
+// worker's live view through the sweep status. Worker blame
 // (circuit-breaker accounting) is applied here; the caller only
 // classifies the returned error as permanent, stolen, or retryable.
 // The attempt runs inside a "dispatch" span parented on the sweep's
@@ -193,58 +205,54 @@ func (c *Coordinator) attemptOnce(sw *sweep, att *attempt, pt *point) (server.Ru
 
 	sim := pt.sim
 	st, err := cl.submitJob(ctx, server.JobRequest{Spec: &sim})
-	if err != nil {
-		c.classifyAttemptError(att, err)
-		return server.RunResult{}, err
-	}
-	for {
-		switch st.State {
-		case server.StateDone:
-			if st.Result == nil {
-				err := &workerError{fmt.Errorf("job %s done without a result", st.ID)}
-				c.noteWorkerFailure(att.w, err)
-				return server.RunResult{}, err
-			}
-			c.noteWorkerSuccess(att.w, nil)
-			return *st.Result, nil
-		case server.StateFailed, server.StateCanceled:
-			// The worker is healthy — it answered — but the job did not
-			// survive (per-job timeout, local cancel). Retryable
-			// without blaming the worker.
-			return server.RunResult{}, fmt.Errorf("worker %s reported job %s %s: %s", att.w.id, st.ID, st.State, st.Error)
-		}
-		select {
-		case <-ctx.Done():
+	if err == nil && !terminal(st.State) {
+		id := st.ID
+		st, err = cl.followJob(ctx, id, func(p *server.ProgressView) {
+			c.mu.Lock()
+			pt.progress = p
+			c.mu.Unlock()
+		})
+		if err != nil && ctx.Err() != nil {
 			// Deadline or steal. Release the worker's slot promptly and
 			// try to stop the abandoned job so the worker does not burn
 			// cycles on a point the coordinator re-dispatched.
-			if st.ID != "" {
-				go func(id string) {
-					bg, bgCancel := context.WithTimeout(context.Background(), c.cfg.HealthTimeout)
-					defer bgCancel()
-					_ = cl.cancelJob(bg, id)
-				}(st.ID)
-			}
+			go func() {
+				bg, bgCancel := context.WithTimeout(context.Background(), c.cfg.HealthTimeout)
+				defer bgCancel()
+				_ = cl.cancelJob(bg, id)
+			}()
 			err := ctx.Err()
-			if !att.stolen && errors.Is(err, context.DeadlineExceeded) {
+			if !c.stolen(att) && errors.Is(err, context.DeadlineExceeded) {
 				// The worker sat on the job past the attempt deadline.
 				c.noteWorkerFailure(att.w, err)
 			}
 			return server.RunResult{}, fmt.Errorf("attempt on %s aborted: %w", att.w.id, err)
-		case <-time.After(c.cfg.PollInterval):
-		}
-		st, err = cl.getJob(ctx, st.ID)
-		if err != nil {
-			c.classifyAttemptError(att, err)
-			return server.RunResult{}, err
-		}
-		if st.Progress != nil {
-			// Re-export the worker's live view through the sweep status.
-			c.mu.Lock()
-			pt.progress = st.Progress
-			c.mu.Unlock()
 		}
 	}
+	if err != nil {
+		c.classifyAttemptError(att, err)
+		return server.RunResult{}, err
+	}
+	if st.State != server.StateDone {
+		// The worker is healthy — it answered — but the job did not
+		// survive (per-job timeout, local cancel). Retryable without
+		// blaming the worker.
+		return server.RunResult{}, fmt.Errorf("worker %s reported job %s %s: %s", att.w.id, st.ID, st.State, st.Error)
+	}
+	if st.Result == nil {
+		err := &workerError{fmt.Errorf("job %s done without a result", st.ID)}
+		c.noteWorkerFailure(att.w, err)
+		return server.RunResult{}, err
+	}
+	c.noteWorkerSuccess(att.w, nil)
+	return *st.Result, nil
+}
+
+// stolen reports whether quarantine or drain cancelled att.
+func (c *Coordinator) stolen(att *attempt) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return att.stolen
 }
 
 // classifyAttemptError applies circuit-breaker accounting for one
@@ -254,7 +262,7 @@ func (c *Coordinator) classifyAttemptError(att *attempt, err error) {
 	var we *workerError
 	switch {
 	case errors.As(err, &we):
-		if att.stolen {
+		if c.stolen(att) {
 			return // the cancel itself caused the failure
 		}
 		c.noteWorkerFailure(att.w, err)

@@ -112,6 +112,8 @@ func (c *Coordinator) RegisterWorker(ctx context.Context, rawURL string) (Worker
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	// Either branch makes a worker dispatchable: wake waiting points.
+	defer c.wakeWaitersLocked()
 	if w, ok := c.byURL[base]; ok {
 		w.state = WorkerActive
 		w.consecFails = 0
@@ -135,7 +137,7 @@ func (c *Coordinator) RegisterWorker(ctx context.Context, rawURL string) (Worker
 		mStolen:      c.reg.Counter("lvpc_worker_stolen_total", "Points stolen off this worker.", "worker", id),
 		mQuarantine:  c.reg.Counter("lvpc_worker_quarantined_total", "Circuit-open transitions per worker.", "worker", id),
 		mInflight:    c.reg.Gauge("lvpc_worker_inflight", "In-flight dispatches per worker.", "worker", id),
-		mDispatchDur: c.reg.Histogram("lvpc_worker_dispatch_seconds", "Wall time of one dispatch attempt, submit through final poll, per worker.", nil, "worker", id),
+		mDispatchDur: c.reg.Histogram("lvpc_worker_dispatch_seconds", "Wall time of one dispatch attempt, submit through the job's terminal event, per worker.", nil, "worker", id),
 	}
 	c.reg.GaugeFunc("lvpc_worker_sim_mips",
 		"Worker-reported simulation throughput (millions of instructions per second).",
@@ -222,6 +224,7 @@ func (c *Coordinator) noteWorkerSuccess(w *worker, h *server.Health) {
 	}
 	if w.state == WorkerQuarantined {
 		w.state = WorkerActive
+		c.wakeWaitersLocked()
 		c.log.Info("worker reactivated", "worker", w.id, "url", w.url)
 	}
 }

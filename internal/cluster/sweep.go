@@ -54,9 +54,9 @@ type point struct {
 	result   *server.RunResult
 	finished time.Time
 
-	// progress is the latest ProgressView the dispatch poll observed on
-	// the point's worker; re-exported through SweepStatus while the
-	// point runs.
+	// progress is the latest ProgressView the point's worker streamed
+	// for its job; re-exported through SweepStatus while the point
+	// runs.
 	progress *server.ProgressView
 }
 

@@ -14,8 +14,9 @@ import (
 	"repro/internal/server"
 )
 
-// newProbedWorker is newWorker with a fast progress cadence so the
-// coordinator's dispatch polls can observe mid-run snapshots.
+// newProbedWorker is newWorker with a fast progress cadence and event
+// sampling, so the job event streams the coordinator follows carry
+// mid-run progress snapshots.
 func newProbedWorker(t *testing.T) *httptest.Server {
 	t.Helper()
 	srv, err := server.New(server.Config{
@@ -24,6 +25,7 @@ func newProbedWorker(t *testing.T) *httptest.Server {
 		CacheSize:        256,
 		DefaultInsts:     20_000,
 		ProgressInterval: 2048,
+		ProgressPoll:     5 * time.Millisecond,
 		Logger:           quietLogger(),
 	})
 	if err != nil {

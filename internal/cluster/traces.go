@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 
 	"repro/internal/trace"
@@ -13,7 +14,9 @@ import (
 // active worker (PUT /v1/traces/{hash}). It runs synchronously in
 // StartSweep, before dispatch: artifacts are small (a gzip-compressed
 // stream, a few bytes per instruction) and shipping them first means
-// even the sweep's first point replays a recording.
+// even the sweep's first point replays a recording. Streams are
+// recorded and encoded on up to GOMAXPROCS goroutines, and each
+// artifact's uploads start as soon as it is encoded.
 //
 // Everything here is best-effort. A worker that misses its upload —
 // registered mid-sweep, transient network failure, artifact too large —
@@ -48,34 +51,46 @@ func (c *Coordinator) shipTraces(sw *sweep, launch []*point) {
 		return
 	}
 
-	var wg sync.WaitGroup
+	todo := make(chan workloadSpec, len(specs))
 	for ws := range specs {
-		key, data, err := c.traces.Artifact(ws.name, ws.insts)
-		if errors.Is(err, trace.ErrOversize) {
-			continue // too big to record; every worker generates live
-		}
-		if err != nil {
-			// Unknown workload or unreadable cache: dispatch validation
-			// will surface the former; the latter only loses the reuse.
-			c.log.Warn("trace artifact unavailable, workers will generate live",
-				"sweep", sw.id, "workload", ws.name, "insts", ws.insts, "err", err)
-			continue
-		}
-		for _, url := range urls {
-			wg.Add(1)
-			go func(url, key string, data []byte) {
-				defer wg.Done()
-				ctx, cancel := context.WithTimeout(c.lifeCtx, c.cfg.PointDeadline)
-				defer cancel()
-				if err := c.workerClient(url, nil).putTrace(ctx, key, data); err != nil {
-					c.mTraceShipFailed.Inc()
-					c.log.Warn("trace artifact ship failed, worker will generate live",
-						"sweep", sw.id, "worker", url, "artifact", key, "err", err)
-					return
+		todo <- ws
+	}
+	close(todo)
+	var wg sync.WaitGroup
+	for g := min(runtime.GOMAXPROCS(0), len(specs)); g > 0; g-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ws := range todo {
+				key, data, err := c.traces.Artifact(ws.name, ws.insts)
+				if errors.Is(err, trace.ErrOversize) {
+					continue // too big to record; every worker generates live
 				}
-				c.mTraceShipped.Inc()
-			}(url, key, data)
-		}
+				if err != nil {
+					// Unknown workload or unreadable cache: dispatch
+					// validation will surface the former; the latter only
+					// loses the reuse.
+					c.log.Warn("trace artifact unavailable, workers will generate live",
+						"sweep", sw.id, "workload", ws.name, "insts", ws.insts, "err", err)
+					continue
+				}
+				for _, url := range urls {
+					wg.Add(1)
+					go func(url string) {
+						defer wg.Done()
+						ctx, cancel := context.WithTimeout(c.lifeCtx, c.cfg.PointDeadline)
+						defer cancel()
+						if err := c.workerClient(url, nil).putTrace(ctx, key, data); err != nil {
+							c.mTraceShipFailed.Inc()
+							c.log.Warn("trace artifact ship failed, worker will generate live",
+								"sweep", sw.id, "worker", url, "artifact", key, "err", err)
+							return
+						}
+						c.mTraceShipped.Inc()
+					}(url)
+				}
+			}
+		}()
 	}
 	wg.Wait()
 }

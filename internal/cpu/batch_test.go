@@ -36,7 +36,7 @@ func TestBatchedProbesBitIdentical(t *testing.T) {
 	}
 	for _, w := range pool {
 		seed := goldenSeed(w.Name)
-		rep := trace.Record(w.Build(goldenInsts), trace.FillSeed(w.Name))
+		rep := trace.Record(w.Build(goldenInsts), trace.FillSeed(w.Name), 0)
 
 		compWant, engWant := mk(seed)
 		want := New(DefaultConfig(), engWant).Run(rep, w.Name, "x")
@@ -66,7 +66,7 @@ func TestBatchedProbesLongRun(t *testing.T) {
 		t.Fatal("unknown workload gcc2k")
 	}
 	seed := goldenSeed(w.Name)
-	rep := trace.Record(w.Build(insts), trace.FillSeed(w.Name))
+	rep := trace.Record(w.Build(insts), trace.FillSeed(w.Name), 0)
 
 	mk := func() Engine {
 		return NewCompositeEngine(core.NewComposite(core.CompositeConfig{
@@ -99,7 +99,7 @@ func TestBatchedProbesLongRun(t *testing.T) {
 func TestBatchProbesNonBatchingEngine(t *testing.T) {
 	w, _ := trace.ByName("mcf")
 	seed := goldenSeed(w.Name)
-	rep := trace.Record(w.Build(goldenInsts), trace.FillSeed(w.Name))
+	rep := trace.Record(w.Build(goldenInsts), trace.FillSeed(w.Name), 0)
 
 	want := New(DefaultConfig(), eves.New(eves.Config{BudgetKB: 32, Seed: seed})).
 		Run(rep, w.Name, "x")

@@ -153,7 +153,7 @@ func TestResetDetachesProgress(t *testing.T) {
 func TestProgressProbeZeroAlloc(t *testing.T) {
 	w, _ := trace.ByName("gcc2k")
 	const n = 20_000
-	rep := trace.Record(w.Build(n), 0)
+	rep := trace.Record(w.Build(n), 0, 0)
 	c := core.NewComposite(core.CompositeConfig{
 		Entries: core.HomogeneousEntries(256), Seed: 1, AM: core.NewMAMEpoch(5_000),
 	})

@@ -262,7 +262,7 @@ func TestSMTSteadyStateZeroAlloc(t *testing.T) {
 	reps := make([]*trace.Replay, len(workloads))
 	for i, name := range workloads {
 		g, _ := trace.BuildStream(trace.StreamName(name, i), insts)
-		reps[i] = trace.Record(g, 0)
+		reps[i] = trace.Record(g, 0, 0)
 	}
 	comp := core.NewComposite(core.CompositeConfig{
 		Entries: core.HomogeneousEntries(256), Seed: 1, AM: core.NewPCAM(64),

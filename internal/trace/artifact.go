@@ -86,7 +86,10 @@ func WriteArtifact(w io.Writer, name string, insts uint64, gen Generator) (uint6
 // ReadArtifact decodes an artifact into its workload identity and a
 // fully materialized recording. Any truncation or corruption — in the
 // gzip framing, the artifact header, or the embedded trace stream — is
-// reported as an error rather than a silently short recording.
+// reported as an error rather than a silently short recording, and so
+// are bytes after the stream's terminator. The header's insts
+// pre-sizes the recording, within Record's bound on how far a hint may
+// run ahead of the records actually decoded.
 func ReadArtifact(r io.Reader) (name string, insts uint64, rep *Replay, err error) {
 	zr, err := gzip.NewReader(r)
 	if err != nil {
@@ -94,83 +97,73 @@ func ReadArtifact(r io.Reader) (name string, insts uint64, rep *Replay, err erro
 	}
 	defer zr.Close()
 	br := bufio.NewReader(zr)
-
-	magic := make([]byte, len(artifactMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return "", 0, nil, fmt.Errorf("trace: artifact magic: %w", err)
+	if name, insts, err = readArtifactHeader(br); err != nil {
+		return "", 0, nil, err
 	}
-	if string(magic) != artifactMagic {
-		return "", 0, nil, errors.New("trace: bad artifact magic")
-	}
-	version, err := binary.ReadUvarint(br)
-	if err != nil {
-		return "", 0, nil, fmt.Errorf("trace: artifact version: %w", err)
-	}
-	if version != artifactVersion {
-		return "", 0, nil, fmt.Errorf("trace: unsupported artifact version %d", version)
-	}
-	if insts, err = binary.ReadUvarint(br); err != nil {
-		return "", 0, nil, fmt.Errorf("trace: artifact insts: %w", err)
-	}
-	nameLen, err := binary.ReadUvarint(br)
-	if err != nil {
-		return "", 0, nil, fmt.Errorf("trace: artifact name length: %w", err)
-	}
-	if nameLen == 0 || nameLen > maxArtifactNameLen {
-		return "", 0, nil, fmt.Errorf("trace: artifact name length %d out of range", nameLen)
-	}
-	nameBytes := make([]byte, nameLen)
-	if _, err := io.ReadFull(br, nameBytes); err != nil {
-		return "", 0, nil, fmt.Errorf("trace: artifact name: %w", err)
-	}
-	name = string(nameBytes)
-
 	tr, err := NewTraceReader(br)
 	if err != nil {
 		return "", 0, nil, err
 	}
-	rep = Record(tr, 0)
+	rep = Record(tr, 0, insts)
 	if err := tr.Err(); err != nil {
 		return "", 0, nil, err
+	}
+	// The stream must end at its terminator. Reading on to the end also
+	// makes gzip verify its checksum and length trailer.
+	if _, err := tr.br.ReadByte(); err != io.EOF {
+		if err == nil {
+			err = errors.New("trailing data after the trace stream")
+		}
+		return "", 0, nil, fmt.Errorf("trace: artifact: %w", err)
 	}
 	return name, insts, rep, nil
 }
 
-// peekArtifactName decodes just far enough of an artifact to return the
-// embedded workload name, without materializing the recording. Used to
-// cheaply filter a cache directory for external traces at startup.
-func peekArtifactName(r io.Reader) (string, error) {
+// peekArtifact decodes just an artifact's header — the workload
+// identity — without materializing the recording. Stores use it to
+// filter a cache directory at startup and to refuse an artifact before
+// paying for its decode.
+func peekArtifact(r io.Reader) (name string, insts uint64, err error) {
 	zr, err := gzip.NewReader(r)
 	if err != nil {
-		return "", err
+		return "", 0, fmt.Errorf("trace: artifact gzip: %w", err)
 	}
 	defer zr.Close()
-	br := bufio.NewReader(zr)
+	return readArtifactHeader(bufio.NewReader(zr))
+}
+
+// readArtifactHeader decodes the header that precedes an artifact's
+// embedded trace stream.
+func readArtifactHeader(br *bufio.Reader) (name string, insts uint64, err error) {
 	magic := make([]byte, len(artifactMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
-		return "", err
+		return "", 0, fmt.Errorf("trace: artifact magic: %w", err)
 	}
 	if string(magic) != artifactMagic {
-		return "", errors.New("trace: bad artifact magic")
+		return "", 0, errors.New("trace: bad artifact magic")
 	}
-	if _, err := binary.ReadUvarint(br); err != nil { // version
-		return "", err
+	version, err := binary.ReadUvarint(br)
+	if err != nil {
+		return "", 0, fmt.Errorf("trace: artifact version: %w", err)
 	}
-	if _, err := binary.ReadUvarint(br); err != nil { // insts
-		return "", err
+	if version != artifactVersion {
+		return "", 0, fmt.Errorf("trace: unsupported artifact version %d", version)
+	}
+	if insts, err = binary.ReadUvarint(br); err != nil {
+		return "", 0, fmt.Errorf("trace: artifact insts: %w", err)
 	}
 	nameLen, err := binary.ReadUvarint(br)
 	if err != nil {
-		return "", err
+		return "", 0, fmt.Errorf("trace: artifact name length: %w", err)
 	}
 	if nameLen == 0 || nameLen > maxArtifactNameLen {
-		return "", fmt.Errorf("trace: artifact name length %d out of range", nameLen)
+		return "", 0, fmt.Errorf("trace: artifact name length %d out of range", nameLen)
 	}
 	nameBytes := make([]byte, nameLen)
 	if _, err := io.ReadFull(br, nameBytes); err != nil {
-		return "", err
+		return "", 0, fmt.Errorf("trace: artifact name: %w", err)
 	}
-	return string(nameBytes), nil
+	return string(nameBytes), insts, nil
 }
 
 // encodeArtifact serializes a recording back to artifact bytes. Used

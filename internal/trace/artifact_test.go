@@ -2,11 +2,14 @@ package trace
 
 import (
 	"bytes"
+	"compress/gzip"
+	"encoding/binary"
 	"errors"
 	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -42,7 +45,7 @@ func TestArtifactRoundTrip(t *testing.T) {
 		if !ok {
 			t.Fatalf("unknown workload %q", name)
 		}
-		want := Record(w.Build(artTestInsts), 0)
+		want := Record(w.Build(artTestInsts), 0, 0)
 
 		var buf bytes.Buffer
 		n, err := WriteArtifact(&buf, name, artTestInsts, w.Build(artTestInsts))
@@ -87,7 +90,7 @@ func TestSaltedArtifactRoundTrip(t *testing.T) {
 		if !ok {
 			t.Fatalf("unknown stream %q", stream)
 		}
-		want := Record(gen, 0)
+		want := Record(gen, 0, 0)
 
 		live, _ := BuildStream(stream, artTestInsts)
 		var buf bytes.Buffer
@@ -119,6 +122,46 @@ func TestSaltedArtifactRoundTrip(t *testing.T) {
 	}
 }
 
+// maxRejectAlloc bounds what decoding one damaged artifact may
+// allocate. The valid artifact the cases damage records artTestInsts
+// instructions (about 256 KB), so the bound leaves room for that and
+// the gzip state but not for the 2^40 instructions the hostile header
+// claims.
+const maxRejectAlloc = 4 << 20
+
+// hostileArtifact returns a well-formed artifact header claiming 2^40
+// instructions, followed by a trace stream header and no records.
+func hostileArtifact(t testing.TB) []byte {
+	t.Helper()
+	raw := []byte(artifactMagic)
+	raw = binary.AppendUvarint(raw, artifactVersion)
+	raw = binary.AppendUvarint(raw, 1<<40)
+	raw = binary.AppendUvarint(raw, uint64(len("gcc2k")))
+	raw = append(raw, "gcc2k"...)
+	raw = append(raw, traceMagic...)
+	raw = binary.AppendUvarint(raw, traceVersion)
+	raw = binary.AppendUvarint(raw, FillSeed("gcc2k"))
+	return gzipBytes(t, raw)
+}
+
+func gzipBytes(t testing.TB, raw []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	if _, err := zw.Write(raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestArtifactRejectsCorruption: every damaged form of a valid artifact
+// fails to decode — truncation, bit flips past the gzip header (whose
+// mtime and OS bytes no checksum covers), bytes after the stream — and
+// so does a header claiming 2^40 instructions over no records. None of
+// them allocates more than maxRejectAlloc on the way to its error.
 func TestArtifactRejectsCorruption(t *testing.T) {
 	w, _ := ByName("gcc2k")
 	var buf bytes.Buffer
@@ -126,13 +169,78 @@ func TestArtifactRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
+	zr, err := gzip.NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flip := func(i int) []byte {
+		d := bytes.Clone(data)
+		d[i] ^= 0x10
+		return d
+	}
+	cases := []struct {
+		name string
+		data []byte
+	}{
+		{"empty", nil},
+		{"garbage", []byte("not an artifact")},
+		{"truncated after the gzip header", data[:10]},
+		{"truncated mid-stream", data[:len(data)/2]},
+		{"truncated before the gzip trailer", data[:len(data)-8]},
+		{"truncated by one byte", data[:len(data)-1]},
+		{"bit flip in the artifact header", flip(12)},
+		{"bit flip mid-stream", flip(len(data) / 2)},
+		{"bit flip in the gzip checksum", flip(len(data) - 6)},
+		{"bit flip in the gzip length", flip(len(data) - 2)},
+		{"trailing garbage", append(bytes.Clone(data), "junk"...)},
+		{"trailing zeros", append(bytes.Clone(data), 0, 0, 0, 0)},
+		{"trailing data inside the stream", gzipBytes(t, append(bytes.Clone(raw), 0))},
+		{"header claims 2^40 instructions over no records", hostileArtifact(t)},
+	}
+	for _, c := range cases {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		_, _, _, err := ReadArtifact(bytes.NewReader(c.data))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: decoded without error", c.name)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > maxRejectAlloc {
+			t.Errorf("%s: allocated %d bytes before failing, bound %d", c.name, got, maxRejectAlloc)
+		}
+	}
+}
 
-	if _, _, _, err := ReadArtifact(bytes.NewReader(data[:len(data)/2])); err == nil {
-		t.Error("truncated artifact decoded without error")
+// FuzzReadArtifact: decoding arbitrary bytes, as PUT /v1/traces/{hash}
+// does with a request body, never panics, and decoding is
+// deterministic.
+func FuzzReadArtifact(f *testing.F) {
+	w, _ := ByName("gcc2k")
+	var buf bytes.Buffer
+	if _, err := WriteArtifact(&buf, w.Name, 500, w.Build(500)); err != nil {
+		f.Fatal(err)
 	}
-	if _, _, _, err := ReadArtifact(bytes.NewReader([]byte("not an artifact"))); err == nil {
-		t.Error("garbage decoded without error")
-	}
+	f.Add(buf.Bytes())
+	f.Add(buf.Bytes()[:buf.Len()/2])
+	f.Add(append(bytes.Clone(buf.Bytes()), "junk"...))
+	f.Add(hostileArtifact(f))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		name, insts, rep, err := ReadArtifact(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		name2, insts2, rep2, err := ReadArtifact(bytes.NewReader(data))
+		if err != nil || name2 != name || insts2 != insts {
+			t.Fatalf("second decode = (%q, %d, %v), first (%q, %d)", name2, insts2, err, name, insts)
+		}
+		sameStream(t, "second decode", drain(rep2), drain(rep))
+	})
 }
 
 func TestArtifactKeyStable(t *testing.T) {
@@ -159,7 +267,7 @@ func TestArtifactStoreMemoryReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	w, _ := ByName("gcc2k")
-	want := Record(w.Build(artTestInsts), 0)
+	want := Record(w.Build(artTestInsts), 0, 0)
 
 	c1, err := s.Cursor(w.Name, artTestInsts)
 	if err != nil {
@@ -183,7 +291,7 @@ func TestArtifactStoreConcurrentCursors(t *testing.T) {
 	// matters under -race) and produce identical streams.
 	s, _ := NewArtifactStore("", 0)
 	w, _ := ByName("mcf")
-	want := Record(w.Build(artTestInsts), 0)
+	want := Record(w.Build(artTestInsts), 0, 0)
 
 	var wg sync.WaitGroup
 	errs := make(chan string, 8)
@@ -227,7 +335,7 @@ func TestArtifactStoreConcurrentCursors(t *testing.T) {
 func TestArtifactStoreDiskReuse(t *testing.T) {
 	dir := t.TempDir()
 	w, _ := ByName("gcc2k")
-	want := Record(w.Build(artTestInsts), 0)
+	want := Record(w.Build(artTestInsts), 0, 0)
 
 	s1, err := NewArtifactStore(dir, 0)
 	if err != nil {
@@ -291,7 +399,7 @@ func TestArtifactStorePutExport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Record(w.Build(artTestInsts), 0)
+	want := Record(w.Build(artTestInsts), 0, 0)
 	sameStream(t, "received cursor", drain(cur), want.Remaining())
 	if st := dst.Stats(); st.Generated != 0 || st.Received != 1 || st.MemoryHits != 1 {
 		t.Fatalf("receiver stats: %+v", st)
@@ -381,5 +489,10 @@ func TestArtifactStoreOversizeRefused(t *testing.T) {
 	}
 	if err := tight.Put(key, data); !errors.Is(err, ErrOversize) {
 		t.Fatalf("Put(insts > budget) err = %v, want ErrOversize", err)
+	}
+	// The budget check reads only the header: a stream that would fail
+	// to decode is refused as oversize, not decoded first.
+	if err := tight.Put(ArtifactKey("gcc2k", 1<<40), hostileArtifact(t)); !errors.Is(err, ErrOversize) {
+		t.Fatalf("Put(header claiming 2^40 insts) err = %v, want ErrOversize", err)
 	}
 }

@@ -172,11 +172,13 @@ func (s *ArtifactStore) Export(key string) ([]byte, bool) {
 }
 
 // Put installs an externally produced artifact under key, verifying
-// that the decoded content actually hashes to that address before
-// accepting it. The recording becomes resident and, for disk-backed
-// stores, is persisted for later processes.
+// that the content actually hashes to that address before accepting
+// it. The header is checked against the address and the store budget
+// before the stream is decoded, so a refused artifact costs no decode.
+// The recording becomes resident and, for disk-backed stores, is
+// persisted for later processes.
 func (s *ArtifactStore) Put(key string, data []byte) error {
-	name, insts, rep, err := ReadArtifact(bytes.NewReader(data))
+	name, insts, err := peekArtifact(bytes.NewReader(data))
 	if err != nil {
 		return err
 	}
@@ -185,6 +187,10 @@ func (s *ArtifactStore) Put(key string, data []byte) error {
 	}
 	if insts > s.budget {
 		return fmt.Errorf("%w (%d insts > budget %d)", ErrOversize, insts, s.budget)
+	}
+	_, _, rep, err := ReadArtifact(bytes.NewReader(data))
+	if err != nil {
+		return err
 	}
 	if s.dir != "" {
 		if err := s.persistBytes(key, data); err != nil {
@@ -266,7 +272,7 @@ func (s *ArtifactStore) RehydrateExternal() (int, error) {
 		if err != nil {
 			continue
 		}
-		name, peekErr := peekArtifactName(f)
+		name, _, peekErr := peekArtifact(f)
 		f.Close()
 		if peekErr != nil || !IsExternalName(name) {
 			continue
@@ -366,7 +372,7 @@ func (s *ArtifactStore) load(key, name string, insts uint64) (rec *artifactRec, 
 	if !ok {
 		return nil, false, fmt.Errorf("trace: artifact store: unknown workload %q", name)
 	}
-	rep := Record(gen, 0)
+	rep := Record(gen, 0, insts)
 	rec = &artifactRec{key: key, name: name, insts: insts, rep: rep}
 	if s.dir != "" {
 		if data, err := encodeArtifact(name, insts, rep); err == nil {

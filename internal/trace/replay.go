@@ -1,6 +1,10 @@
 package trace
 
-import "repro/internal/mem"
+import (
+	"slices"
+
+	"repro/internal/mem"
+)
 
 // Replay is an in-memory recording of a generator's instruction stream
 // that can be rewound and consumed again without re-running the
@@ -15,16 +19,38 @@ type Replay struct {
 	pos   int
 }
 
-// Record drains gen (up to max instructions; 0 means the generator's
-// own end of stream) into a replayable trace. The architectural memory
-// image is snapshotted before the first instruction is generated, so a
-// replayed run observes the same Run-start image a fresh generator
-// would present.
-func Record(gen Generator, max uint64) *Replay {
+// maxHintAhead bounds how far Record's size hint may run ahead of the
+// instructions actually recorded: the first allocation, made when the
+// first instruction arrives, holds at most this many instructions
+// (8 MiB), and each later one at most doubles what was really
+// recorded. A hint read from untrusted input, such as an artifact
+// header, therefore cannot reserve memory its stream never fills.
+const maxHintAhead = 1 << 17
+
+// Record drains gen (up to limit instructions; 0 means the generator's
+// own end of stream) into a replayable trace. sizeHint is the expected
+// stream length (0 = unknown): the recording is pre-sized toward it so
+// it grows with few copies, but the hint never cuts the stream short,
+// and a recording that ends well short of its hint is clipped to size.
+// The architectural memory image is snapshotted before the first
+// instruction is generated, so a replayed run observes the same
+// Run-start image a fresh generator would present.
+func Record(gen Generator, limit, sizeHint uint64) *Replay {
+	if limit > 0 && sizeHint > limit {
+		sizeHint = limit
+	}
 	r := &Replay{mem: gen.Mem().Clone()}
 	var in Inst
-	for (max == 0 || uint64(len(r.insts)) < max) && gen.Next(&in) {
+	for (limit == 0 || uint64(len(r.insts)) < limit) && gen.Next(&in) {
+		if n := uint64(len(r.insts)); n == uint64(cap(r.insts)) && n < sizeHint {
+			grown := make([]Inst, n, min(sizeHint, max(2*n, maxHintAhead)))
+			copy(grown, r.insts)
+			r.insts = grown
+		}
 		r.insts = append(r.insts, in)
+	}
+	if n := len(r.insts); sizeHint > 0 && cap(r.insts)-n > cap(r.insts)/8 {
+		r.insts = slices.Clone(r.insts)
 	}
 	return r
 }
