@@ -57,9 +57,9 @@ func main() {
 		addr         = flag.String("addr", ":8080", "listen address")
 		workers      = flag.Int("workers", 0, "simulation workers (0 = GOMAXPROCS)")
 		queueDepth   = flag.Int("queue", 64, "job queue depth (full queue returns 429)")
-		cacheSize    = flag.Int("cache", 1024, "result cache entries")
-		defaultInsts = flag.Uint64("insts", 200_000, "default per-job instruction budget")
-		maxInsts     = flag.Int64("max-insts", 5_000_000, "per-job instruction budget cap (-1 = unlimited)")
+		cacheSize    = flag.Int("cache", 0, "result cache entries (0 = mode default: 1024 worker, 4096 coordinator)")
+		defaultInsts = flag.Uint64("insts", server.DefaultInsts, "default per-job instruction budget")
+		maxInsts     = flag.Int64("max-insts", server.DefaultMaxInsts, "per-job instruction budget cap (-1 = unlimited)")
 		jobTimeout   = flag.Duration("job-timeout", 2*time.Minute, "default per-job simulation deadline")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown drain deadline")
 		maxSweepPts  = flag.Int("max-sweep-points", 0, "sweep expansion cap (0 = mode default)")
@@ -132,64 +132,77 @@ func main() {
 		}
 	}
 
+	// Both modes serve the same way: one listen loop, drained on
+	// SIGINT/SIGTERM. Only a worker self-registers with a coordinator.
+	var svc interface {
+		Handler() http.Handler
+		Shutdown(context.Context) error
+	}
+	join := ""
 	if *clusterMode {
-		runCoordinator(log, coordinatorFlags{
-			addr:          *addr,
-			defaultInsts:  *defaultInsts,
-			maxInsts:      *maxInsts,
-			cacheSize:     *cacheSize,
-			maxSweepPts:   *maxSweepPts,
-			workerSlots:   *workerSlots,
-			pointDeadline: *pointDeadline,
-			pointRetries:  *pointRetries,
-			healthEvery:   *healthEvery,
-			quarAfter:     *quarAfter,
-			quarCooldown:  *quarCooldown,
-			drainTimeout:  *drainTimeout,
-			dataDir:       *dataDir,
-			traceCacheDir: *traceCacheDir,
-			workerAPIKey:  *workerAPIKey,
-			tenants:       tenants,
-			alerts:        alerts,
-			obsScrape:     *obsScrape,
-			obsRetain:     *obsRetain,
+		coord, err := cluster.New(cluster.Config{
+			DefaultInsts:       *defaultInsts,
+			MaxInsts:           *maxInsts,
+			CacheSize:          *cacheSize,
+			MaxSweepPoints:     *maxSweepPts,
+			WorkerSlots:        *workerSlots,
+			PointDeadline:      *pointDeadline,
+			PointRetries:       *pointRetries,
+			HealthInterval:     *healthEvery,
+			QuarantineAfter:    *quarAfter,
+			QuarantineCooldown: *quarCooldown,
+			DataDir:            *dataDir,
+			TraceCacheDir:      *traceCacheDir,
+			WorkerAPIKey:       *workerAPIKey,
+			Tenants:            tenants,
+			Logger:             log,
+			Alerts:             alerts,
+			ObsScrapeInterval:  *obsScrape,
+			ObsRetention:       *obsRetain,
 		})
-		return
-	}
+		if err != nil {
+			log.Error("bad configuration", "err", err)
+			os.Exit(2)
+		}
+		coord.Start()
+		svc = coord
+	} else {
+		// In a fleet, name this worker's spans by the URL the
+		// coordinator dials so merged traces get one track per worker.
+		serviceName := ""
+		if *joinURL != "" {
+			serviceName = advertised(*advertiseURL, *addr)
+		}
+		srv, err := server.New(server.Config{
+			Workers:        *workers,
+			QueueDepth:     *queueDepth,
+			CacheSize:      *cacheSize,
+			DefaultInsts:   *defaultInsts,
+			MaxInsts:       *maxInsts,
+			JobTimeout:     *jobTimeout,
+			MaxSweepPoints: *maxSweepPts,
+			ServiceName:    serviceName,
+			DataDir:        *dataDir,
+			TraceCacheDir:  *traceCacheDir,
+			Tenants:        tenants,
+			Logger:         log,
 
-	// In a fleet, name this worker's spans by the URL the coordinator
-	// dials so merged traces get one track per worker.
-	serviceName := ""
-	if *joinURL != "" {
-		serviceName = advertised(*advertiseURL, *addr)
+			Alerts:            alerts,
+			ObsScrapeInterval: *obsScrape,
+			ObsRetention:      *obsRetain,
+		})
+		if err != nil {
+			log.Error("bad configuration", "err", err)
+			os.Exit(2)
+		}
+		srv.Start()
+		svc = srv
+		join = *joinURL
 	}
-	srv, err := server.New(server.Config{
-		Workers:        *workers,
-		QueueDepth:     *queueDepth,
-		CacheSize:      *cacheSize,
-		DefaultInsts:   *defaultInsts,
-		MaxInsts:       *maxInsts,
-		JobTimeout:     *jobTimeout,
-		MaxSweepPoints: *maxSweepPts,
-		ServiceName:    serviceName,
-		DataDir:        *dataDir,
-		TraceCacheDir:  *traceCacheDir,
-		Tenants:        tenants,
-		Logger:         log,
-
-		Alerts:            alerts,
-		ObsScrapeInterval: *obsScrape,
-		ObsRetention:      *obsRetain,
-	})
-	if err != nil {
-		log.Error("bad configuration", "err", err)
-		os.Exit(2)
-	}
-	srv.Start()
 
 	httpSrv := &http.Server{
 		Addr:              *addr,
-		Handler:           srv.Handler(),
+		Handler:           svc.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 
@@ -198,10 +211,10 @@ func main() {
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
-	log.Info("lvpd listening", "addr", *addr)
+	log.Info("lvpd listening", "addr", *addr, "cluster", *clusterMode)
 
-	if *joinURL != "" {
-		go selfRegister(ctx, log, *joinURL, advertised(*advertiseURL, *addr), *joinAPIKey)
+	if join != "" {
+		go selfRegister(ctx, log, join, advertised(*advertiseURL, *addr), *joinAPIKey)
 	}
 
 	select {
@@ -217,8 +230,8 @@ func main() {
 	if err := httpSrv.Shutdown(drainCtx); err != nil {
 		log.Warn("http shutdown", "err", err)
 	}
-	if err := srv.Shutdown(drainCtx); err != nil {
-		log.Warn("job drain incomplete", "err", err)
+	if err := svc.Shutdown(drainCtx); err != nil {
+		log.Warn("drain incomplete", "err", err)
 	}
 	log.Info("bye")
 }
@@ -255,87 +268,6 @@ func buildLogger(format, level string, forceJSON bool) (*slog.Logger, error) {
 		return nil, fmt.Errorf("lvpd: -log-format must be text or json, got %q", format)
 	}
 	return slog.New(otrace.NewLogHandler(handler)), nil
-}
-
-type coordinatorFlags struct {
-	addr          string
-	defaultInsts  uint64
-	maxInsts      int64
-	cacheSize     int
-	maxSweepPts   int
-	workerSlots   int
-	pointDeadline time.Duration
-	pointRetries  int
-	healthEvery   time.Duration
-	quarAfter     int
-	quarCooldown  time.Duration
-	drainTimeout  time.Duration
-	dataDir       string
-	traceCacheDir string
-	workerAPIKey  string
-	tenants       *tenant.Registry
-	alerts        *tsdb.RuleSet
-	obsScrape     time.Duration
-	obsRetain     time.Duration
-}
-
-func runCoordinator(log *slog.Logger, f coordinatorFlags) {
-	coord, err := cluster.New(cluster.Config{
-		DefaultInsts:       f.defaultInsts,
-		MaxInsts:           f.maxInsts,
-		CacheSize:          f.cacheSize,
-		MaxSweepPoints:     f.maxSweepPts,
-		WorkerSlots:        f.workerSlots,
-		PointDeadline:      f.pointDeadline,
-		PointRetries:       f.pointRetries,
-		HealthInterval:     f.healthEvery,
-		QuarantineAfter:    f.quarAfter,
-		QuarantineCooldown: f.quarCooldown,
-		DataDir:            f.dataDir,
-		TraceCacheDir:      f.traceCacheDir,
-		WorkerAPIKey:       f.workerAPIKey,
-		Tenants:            f.tenants,
-		Logger:             log,
-		Alerts:             f.alerts,
-		ObsScrapeInterval:  f.obsScrape,
-		ObsRetention:       f.obsRetain,
-	})
-	if err != nil {
-		log.Error("bad configuration", "err", err)
-		os.Exit(2)
-	}
-	coord.Start()
-
-	httpSrv := &http.Server{
-		Addr:              f.addr,
-		Handler:           coord.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
-	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.ListenAndServe() }()
-	log.Info("lvpd coordinator listening", "addr", f.addr)
-
-	select {
-	case err := <-errCh:
-		log.Error("http server failed", "err", err)
-		os.Exit(1)
-	case <-ctx.Done():
-	}
-
-	log.Info("shutting down", "drain_timeout", f.drainTimeout)
-	drainCtx, cancel := context.WithTimeout(context.Background(), f.drainTimeout)
-	defer cancel()
-	if err := httpSrv.Shutdown(drainCtx); err != nil {
-		log.Warn("http shutdown", "err", err)
-	}
-	if err := coord.Shutdown(drainCtx); err != nil {
-		log.Warn("sweep drain incomplete", "err", err)
-	}
-	log.Info("bye")
 }
 
 // advertised derives the URL the coordinator should dial for this

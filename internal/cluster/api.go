@@ -7,71 +7,10 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
-	"strings"
-	"time"
 
 	otrace "repro/internal/obs/trace"
 	"repro/internal/server"
-	"repro/internal/tenant"
 )
-
-// Handler returns the coordinator's HTTP API:
-//
-//	POST   /v1/cluster/workers      register (or reactivate) a worker
-//	GET    /v1/cluster/workers      list workers with state and load
-//	DELETE /v1/cluster/workers/{id} drain a worker (steals its points)
-//	POST   /v1/sweeps               submit a sweep for distributed execution
-//	GET    /v1/sweeps               list retained sweeps (summaries)
-//	GET    /v1/sweeps/{id}          aggregated sweep status with points
-//	GET    /healthz                 coordinator liveness + fleet summary
-//	GET    /readyz                  readiness: accepting and has active workers
-//	GET    /debug/traces            recent coordinator-side traces
-//	GET    /debug/traces/{id}       one trace, merged across coordinator and workers
-//	GET    /metrics                 Prometheus-style metrics
-//	GET    /v1/metrics/query        federated range/instant queries over the fleet
-//	GET    /v1/alerts               SLO alert states (firing/pending/resolved)
-//
-// Trace propagation middleware wraps the tree, so a POST /v1/sweeps
-// carrying a traceparent header ties the whole distributed execution
-// into the submitter's trace. Tenant authentication guards the /v1/
-// surface when the coordinator runs with a tenants file.
-func (c *Coordinator) Handler() http.Handler {
-	return c.tracer.Middleware(c.metricsMiddleware(c.authMiddleware(c.mux)))
-}
-
-// authMiddleware resolves the request's tenant and stores it in the
-// context, mirroring the worker daemon's middleware: only /v1/ needs a
-// key; health, metrics, and debug stay open. Worker self-registration
-// (POST /v1/cluster/workers) therefore also needs a key in
-// multi-tenant mode — workers pass it with -join-api-key.
-func (c *Coordinator) authMiddleware(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !strings.HasPrefix(r.URL.Path, "/v1/") {
-			next.ServeHTTP(w, r)
-			return
-		}
-		key := tenant.KeyFromAuth(r.Header.Get("Authorization"), r.Header.Get("X-API-Key"))
-		tn, ok := c.tenants.Authenticate(key)
-		if !ok {
-			c.mAuthFailed.Inc()
-			writeError(w, http.StatusUnauthorized, "missing or unknown API key")
-			return
-		}
-		if name := r.Header.Get("X-Lvpd-Tenant"); name != "" && name != tn.Name {
-			if !tn.Proxy {
-				writeError(w, http.StatusForbidden, "tenant is not allowed to attribute work to others")
-				return
-			}
-			attributed, ok := c.tenants.ByName(name)
-			if !ok {
-				writeError(w, http.StatusForbidden, "unknown tenant in X-Lvpd-Tenant")
-				return
-			}
-			tn = attributed
-		}
-		next.ServeHTTP(w, r.WithContext(tenant.NewContext(r.Context(), tn)))
-	})
-}
 
 // RegisterRequest is the POST /v1/cluster/workers body.
 type RegisterRequest struct {
@@ -90,21 +29,36 @@ type ClusterHealth struct {
 	CacheEntries       int    `json:"cache_entries"`
 }
 
+// routes registers the coordinator's API next to the routes the
+// shell serves (GET /metrics, /debug/traces, /v1/metrics/query and
+// /v1/alerts, and POST /v1/workloads, whose uploads StartSweep
+// pre-ships to workers like recorded synthetic streams):
+//
+//	POST   /v1/cluster/workers      register (or reactivate) a worker
+//	GET    /v1/cluster/workers      list workers with state and load
+//	DELETE /v1/cluster/workers/{id} drain a worker (steals its points)
+//	POST   /v1/sweeps               submit a sweep for distributed execution
+//	GET    /v1/sweeps               list retained sweeps (summaries)
+//	GET    /v1/sweeps/{id}          aggregated sweep status with points
+//	GET    /healthz                 coordinator liveness + fleet summary
+//	GET    /readyz                  readiness: accepting and has active workers
+//	GET    /debug/traces/{id}       one trace, merged across coordinator and workers
+//
+// The shell's trace propagation middleware wraps the tree, so a POST
+// /v1/sweeps carrying a traceparent header ties the whole distributed
+// execution into the submitter's trace. With a tenants file every /v1/
+// route needs a key, worker self-registration included (workers pass
+// -join-api-key).
 func (c *Coordinator) routes() {
-	c.mux.HandleFunc("POST /v1/cluster/workers", c.handleRegisterWorker)
-	c.mux.HandleFunc("GET /v1/cluster/workers", c.handleListWorkers)
-	c.mux.HandleFunc("DELETE /v1/cluster/workers/{id}", c.handleDrainWorker)
-	c.mux.HandleFunc("POST /v1/sweeps", c.handleStartSweep)
-	c.mux.HandleFunc("POST /v1/workloads", c.handleUploadWorkload)
-	c.mux.HandleFunc("GET /v1/sweeps", c.handleListSweeps)
-	c.mux.HandleFunc("GET /v1/sweeps/{id}", c.handleSweepStatus)
-	c.mux.HandleFunc("GET /healthz", c.handleHealthz)
-	c.mux.HandleFunc("GET /readyz", c.handleReadyz)
-	c.mux.Handle("GET /debug/traces", c.tracer.IndexHandler())
-	c.mux.HandleFunc("GET /debug/traces/{id}", c.handleMergedTrace)
-	c.mux.Handle("GET /metrics", c.reg.Handler())
-	c.mux.HandleFunc("GET /v1/metrics/query", c.handleMetricsQuery)
-	c.mux.HandleFunc("GET /v1/alerts", c.handleAlerts)
+	c.HandleFunc("POST /v1/cluster/workers", c.handleRegisterWorker)
+	c.HandleFunc("GET /v1/cluster/workers", c.handleListWorkers)
+	c.HandleFunc("DELETE /v1/cluster/workers/{id}", c.handleDrainWorker)
+	c.HandleFunc("POST /v1/sweeps", c.handleStartSweep)
+	c.HandleFunc("GET /v1/sweeps", c.handleListSweeps)
+	c.HandleFunc("GET /v1/sweeps/{id}", c.handleSweepStatus)
+	c.HandleFunc("GET /healthz", c.handleHealthz)
+	c.HandleFunc("GET /readyz", c.handleReadyz)
+	c.HandleFunc("GET /debug/traces/{id}", c.handleMergedTrace)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -209,7 +163,7 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Status:       "ok",
 		Workers:      len(c.workers),
 		Sweeps:       len(c.sweeps),
-		CacheEntries: c.cache.Len(),
+		CacheEntries: c.Cache().Len(),
 	}
 	for _, wk := range c.workers {
 		switch wk.state {
@@ -256,7 +210,7 @@ func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // are skipped — a partial trace beats none.
 func (c *Coordinator) handleMergedTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	events := otrace.ChromeEvents(c.tracer.Service(), c.tracer.TraceSpans(id))
+	events := otrace.ChromeEvents(c.Tracer().Service(), c.Tracer().TraceSpans(id))
 
 	c.mu.Lock()
 	urls := make([]string, 0, len(c.workers))
@@ -288,15 +242,4 @@ func (c *Coordinator) handleMergedTrace(w http.ResponseWriter, r *http.Request) 
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = otrace.WriteChrome(w, events)
-}
-
-// LoggedHandler wraps the API with one structured access-log line per
-// request.
-func (c *Coordinator) LoggedHandler() http.Handler {
-	authed := c.metricsMiddleware(c.authMiddleware(c.mux))
-	return c.tracer.Middleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		authed.ServeHTTP(w, r)
-		c.log.DebugContext(r.Context(), "http", "method", r.Method, "path", r.URL.Path, "dur", time.Since(start))
-	}))
 }

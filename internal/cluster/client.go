@@ -50,7 +50,7 @@ type apiClient struct {
 // attribution header, so open workers stay compatible).
 func (c *Coordinator) workerClient(url string, sw *sweep) apiClient {
 	cl := apiClient{base: url, hc: c.hc, apiKey: c.cfg.WorkerAPIKey}
-	if sw != nil && !c.tenants.Open() {
+	if sw != nil && !c.Tenants().Open() {
 		cl.tenantName = sw.tenant
 	}
 	return cl
@@ -165,12 +165,6 @@ func (a apiClient) submitJob(ctx context.Context, req server.JobRequest) (server
 	}
 }
 
-// terminal reports whether a job state is final. The event stream
-// names its terminal events after these states.
-func terminal(state string) bool {
-	return state == server.StateDone || state == server.StateFailed || state == server.StateCanceled
-}
-
 // followJob follows the job's event stream (GET /v1/jobs/{id}/events)
 // until its terminal event and returns the JobStatus that event
 // carries, result included. Progress events reach onProgress as they
@@ -232,7 +226,7 @@ func readJobEvents(r io.Reader, onProgress func(*server.ProgressView)) (server.J
 				return server.JobStatus{}, &workerError{fmt.Errorf("undecodable progress event: %w", err)}
 			}
 			onProgress(&p)
-		case terminal(event):
+		case server.TerminalState(event):
 			var st server.JobStatus
 			if err := json.Unmarshal(data, &st); err != nil {
 				return server.JobStatus{}, &workerError{fmt.Errorf("undecodable %s event: %w", event, err)}

@@ -40,26 +40,23 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	otrace "repro/internal/obs/trace"
 	"repro/internal/obs/tsdb"
 	"repro/internal/server"
 	"repro/internal/spec"
-	"repro/internal/store"
 	"repro/internal/tenant"
-	"repro/internal/trace"
 )
 
 // Config tunes the coordinator. Zero values select the defaults noted
 // per field.
 type Config struct {
 	// DefaultInsts is the instruction budget filled into sweep points
-	// that leave it unset (default 200k). It MUST match the workers'
-	// -insts default for spec hashes — and therefore result caches — to
-	// agree across the fleet.
+	// that leave it unset (default server.DefaultInsts, 200k). It MUST
+	// match the workers' -insts default for spec hashes — and therefore
+	// result caches — to agree across the fleet.
 	DefaultInsts uint64
 
-	// MaxInsts clamps per-point budgets (default 5M; -1 = unlimited),
-	// mirroring the workers' -max-insts.
+	// MaxInsts clamps per-point budgets (default server.DefaultMaxInsts,
+	// 5M; -1 = unlimited), mirroring the workers' -max-insts.
 	MaxInsts int64
 
 	// Seed fills Run.Seed when a sweep leaves it at 0 (default the
@@ -177,10 +174,10 @@ func (c Config) Validate() error {
 
 func (c *Config) applyDefaults() {
 	if c.DefaultInsts == 0 {
-		c.DefaultInsts = 200_000
+		c.DefaultInsts = server.DefaultInsts
 	}
 	if c.MaxInsts == 0 {
-		c.MaxInsts = 5_000_000
+		c.MaxInsts = server.DefaultMaxInsts
 	}
 	if c.Seed == 0 {
 		c.Seed = server.DefaultSeed
@@ -236,20 +233,19 @@ func (c *Config) applyDefaults() {
 }
 
 // Coordinator owns the worker registry, the sweep state, and the
-// dispatch machinery. Create with New, start the health prober with
-// Start, mount Handler on an http.Server, and stop with Shutdown.
+// dispatch machinery, on the serving shell it shares with lvpd
+// (server.Shell: auth, request metrics, the federated tsdb, uploads,
+// the result cache and the durable store). Create with New, start the
+// health prober with Start, mount Handler on an http.Server, and stop
+// with Shutdown.
 type Coordinator struct {
-	cfg     Config
-	log     *slog.Logger
-	reg     *obs.Registry
-	tracer  *otrace.Recorder
-	mux     *http.ServeMux
-	hc      *http.Client
-	tenants *tenant.Registry
+	*server.Shell
+	cfg Config
+	log *slog.Logger
+	hc  *http.Client
 
-	// st is the durable sweep store (nil without DataDir). resume holds
-	// the points the WAL still owed at Open; Start dispatches them.
-	st     *store.Store
+	// resume holds the points the WAL still owed at Open; Start
+	// dispatches them.
 	resume []resumedPoint
 
 	// lifeCtx parents every dispatch attempt and the health prober;
@@ -259,15 +255,7 @@ type Coordinator struct {
 
 	runners   sync.WaitGroup // per-point dispatch goroutines
 	probeWG   sync.WaitGroup // the health prober
-	obsWG     sync.WaitGroup // collector and alerter loops
 	accepting atomic.Bool
-
-	// Embedded observability plane: the federated time-series store,
-	// the collector feeding it (self + every worker's /metrics), and
-	// the optional SLO alerter over it.
-	tsdb      *tsdb.DB
-	collector *tsdb.Collector
-	alerter   *tsdb.Alerter
 
 	mu         sync.Mutex
 	workers    map[string]*worker // by id
@@ -282,14 +270,6 @@ type Coordinator struct {
 	// acquireWorker and wakeWaitersLocked).
 	slotFreed chan struct{}
 
-	// cache is the shared result cache keyed by canonical spec hash.
-	// Retries and duplicate points across sweeps resolve here first.
-	cache *server.ResultCache
-
-	// traces records each sweep's workload streams once; StartSweep
-	// ships the artifacts to active workers before dispatching.
-	traces *trace.ArtifactStore
-
 	mDispatched  *obs.Counter
 	mRetried     *obs.Counter
 	mStolen      *obs.Counter
@@ -299,12 +279,9 @@ type Coordinator struct {
 	mPtsFailed   *obs.Counter
 	mPtsCached   *obs.Counter
 	mPtsDeduped  *obs.Counter
-	mAuthFailed  *obs.Counter
 
 	mTraceShipped    *obs.Counter
 	mTraceShipFailed *obs.Counter
-	mUploads         *obs.Counter
-	mWALFsync        *obs.Histogram
 
 	// Per-tenant fan-out attribution, keyed by tenant name.
 	mTenantSweeps map[string]*obs.Counter
@@ -325,23 +302,33 @@ func New(cfg Config) (*Coordinator, error) {
 		return nil, err
 	}
 	cfg.applyDefaults()
-	tenants := cfg.Tenants
-	if tenants == nil {
-		tenants = tenant.Single()
+	var c *Coordinator
+	sh, err := server.NewShell(server.ShellConfig{
+		Prefix:            "lvpc",
+		ServiceName:       cfg.ServiceName,
+		Logger:            cfg.Logger,
+		Tenants:           cfg.Tenants,
+		CacheSize:         cfg.CacheSize,
+		TraceCacheDir:     cfg.TraceCacheDir,
+		DataDir:           cfg.DataDir,
+		ObsScrapeInterval: cfg.ObsScrapeInterval,
+		ObsRetention:      cfg.ObsRetention,
+		Alerts:            cfg.Alerts,
+		Targets:           func() []tsdb.Target { return c.workerTargets() },
+		Annotate:          func() map[string]any { return c.queryAnnotations() },
+	})
+	if err != nil {
+		return nil, err
 	}
-	reg := obs.NewRegistry()
-	c := &Coordinator{
+	reg := sh.Registry()
+	c = &Coordinator{
+		Shell:   sh,
 		cfg:     cfg,
 		log:     cfg.Logger,
-		reg:     reg,
-		tracer:  otrace.NewRecorder(cfg.ServiceName, 0),
-		mux:     http.NewServeMux(),
 		hc:      &http.Client{},
-		tenants: tenants,
 		workers: make(map[string]*worker),
 		byURL:   make(map[string]*worker),
 		sweeps:  make(map[string]*sweep),
-		cache:   server.NewResultCache(cfg.CacheSize),
 
 		slotFreed: make(chan struct{}),
 
@@ -354,51 +341,28 @@ func New(cfg Config) (*Coordinator, error) {
 		mPtsFailed:   reg.Counter("lvpc_points_total", "Sweep points by outcome.", "state", "failed"),
 		mPtsCached:   reg.Counter("lvpc_points_total", "Sweep points by outcome.", "state", "cached"),
 		mPtsDeduped:  reg.Counter("lvpc_points_total", "Sweep points by outcome.", "state", "deduped"),
-		mAuthFailed:  reg.Counter("lvpc_auth_failures_total", "Requests rejected for a missing or unknown API key."),
 		mTraceShipped: reg.Counter("lvpc_trace_artifacts_shipped_total",
 			"Trace artifacts successfully pre-shipped to workers (one per artifact per worker)."),
 		mTraceShipFailed: reg.Counter("lvpc_trace_artifact_ship_failures_total",
 			"Trace artifact uploads that failed (the worker falls back to live generation)."),
-		mUploads: reg.Counter("lvpc_trace_uploads_total",
-			"External trace files accepted via POST /v1/workloads."),
-		mWALFsync: reg.Histogram("lvpc_wal_fsync_seconds",
-			"Group-commit fsync latency on the sweep WAL append path.", fsyncBuckets),
 
 		mTenantSweeps: make(map[string]*obs.Counter),
 		mTenantPoints: make(map[string]*obs.Counter),
 	}
-	for _, tn := range tenants.Tenants() {
+	for _, tn := range sh.Tenants().Tenants() {
 		name := tn.Name
 		c.mTenantSweeps[name] = reg.Counter("lvpc_tenant_sweeps_total", "Sweeps accepted by tenant.", "tenant", name)
 		c.mTenantPoints[name] = reg.Counter("lvpc_tenant_points_done_total", "Sweep points finished by tenant.", "tenant", name)
-	}
-	traces, err := trace.NewArtifactStore(cfg.TraceCacheDir, 0)
-	if err != nil {
-		return nil, err
-	}
-	traces.SetLogger(c.log)
-	c.traces = traces
-	if n, err := traces.RehydrateExternal(); err != nil {
-		c.log.Warn("rehydrating external traces", "err", err)
-	} else if n > 0 {
-		c.log.Info("rehydrated external trace workloads from disk", "count", n)
 	}
 	// Rendered as a counter at scrape time: artifact generations only
 	// ever accrue, and counter typing lets rate() work over them.
 	reg.CounterFunc("lvpc_trace_artifacts_generated_total",
 		"Workload streams the coordinator recorded for pre-shipping.",
-		func() float64 { return float64(c.traces.Stats().Generated) })
+		func() float64 { return float64(sh.Traces().Stats().Generated) })
+	c.registerFleetGauges()
 	c.lifeCtx, c.lifeStop = context.WithCancel(context.Background())
-	c.initObs()
 	c.routes()
-	if cfg.DataDir != "" {
-		st, err := store.Open(cfg.DataDir, store.Options{
-			WAL: store.WALOptions{FsyncObserver: c.mWALFsync.Observe},
-		})
-		if err != nil {
-			return nil, err
-		}
-		c.st = st
+	if st := sh.Store(); st != nil {
 		if err := c.replaySweeps(); err != nil {
 			st.Close()
 			return nil, err
@@ -406,12 +370,6 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	return c, nil
 }
-
-// Registry exposes the metrics registry (for tests and embedding).
-func (c *Coordinator) Registry() *obs.Registry { return c.reg }
-
-// Tracer exposes the coordinator's span recorder (for tests).
-func (c *Coordinator) Tracer() *otrace.Recorder { return c.tracer }
 
 // defaults returns the spec defaults sweep points normalize under.
 // They must match the workers' defaults for hashes to agree fleet-wide.
@@ -437,7 +395,7 @@ func (c *Coordinator) Start() {
 	}
 	c.probeWG.Add(1)
 	go c.prober()
-	c.startObs()
+	c.Shell.Start()
 }
 
 // Shutdown stops accepting sweeps and gives in-flight points until
@@ -460,13 +418,8 @@ func (c *Coordinator) Shutdown(ctx context.Context) error {
 	c.lifeStop()
 	<-done
 	c.probeWG.Wait()
-	// The collector must stop before the store closes: a federated
-	// scrape in flight may still be observing WAL fsyncs.
-	c.obsWG.Wait()
-	if c.st != nil {
-		if cerr := c.st.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
+	if serr := c.Shell.Shutdown(); serr != nil && err == nil {
+		err = serr
 	}
 	return err
 }

@@ -53,7 +53,7 @@ func (c *Coordinator) runPoint(sw *sweep, pt *point) {
 		res, err := c.attemptOnce(sw, att, pt)
 		stolen := c.releaseAttempt(att)
 		if err == nil {
-			c.cache.Put(pt.hash, res)
+			c.Cache().Put(pt.hash, res)
 			c.settlePoint(sw, pt, &res, "")
 			return
 		}
@@ -192,7 +192,7 @@ func (c *Coordinator) wakeWaitersLocked() {
 func (c *Coordinator) attemptOnce(sw *sweep, att *attempt, pt *point) (server.RunResult, error) {
 	ctx, cancel := context.WithTimeout(att.ctx, c.cfg.PointDeadline)
 	defer cancel()
-	ctx, span := c.tracer.StartSpan(otrace.ContextWithSpan(ctx, sw.span), "dispatch",
+	ctx, span := c.Tracer().StartSpan(otrace.ContextWithSpan(ctx, sw.span), "dispatch",
 		otrace.String("spec", pt.hash),
 		otrace.String("worker", att.w.id),
 		otrace.String("worker_url", att.w.url))
@@ -205,7 +205,7 @@ func (c *Coordinator) attemptOnce(sw *sweep, att *attempt, pt *point) (server.Ru
 
 	sim := pt.sim
 	st, err := cl.submitJob(ctx, server.JobRequest{Spec: &sim})
-	if err == nil && !terminal(st.State) {
+	if err == nil && !server.TerminalState(st.State) {
 		id := st.ID
 		st, err = cl.followJob(ctx, id, func(p *server.ProgressView) {
 			c.mu.Lock()

@@ -10,43 +10,11 @@ import (
 	"repro/internal/server"
 	"repro/internal/spec"
 	"repro/internal/store"
-	"repro/internal/tenant"
 )
 
 // errDurability marks a submit that failed because the WAL could not
 // record it; the API maps it to 500 rather than blaming the request.
 var errDurability = errors.New("durable store write failed")
-
-// requestTenant resolves the tenant the auth middleware attached to
-// ctx; calls that bypass Handler fall back to the default tenant.
-func (c *Coordinator) requestTenant(ctx context.Context) *tenant.Tenant {
-	if tn := tenant.FromContext(ctx); tn != nil {
-		return tn
-	}
-	return c.tenants.Default()
-}
-
-// lookupResult answers a spec hash from the in-memory cache, falling
-// back to the result warehouse (results survive coordinator restarts)
-// and promoting warehouse hits back into the cache.
-func (c *Coordinator) lookupResult(hash string) (server.RunResult, bool) {
-	if res, ok := c.cache.Get(hash); ok {
-		return res, true
-	}
-	if c.st == nil {
-		return server.RunResult{}, false
-	}
-	rec, ok := c.st.Warehouse().Get(hash)
-	if !ok {
-		return server.RunResult{}, false
-	}
-	var res server.RunResult
-	if err := json.Unmarshal(rec.Result, &res); err != nil {
-		return server.RunResult{}, false
-	}
-	c.cache.Put(hash, res)
-	return res, true
-}
 
 // persistSweepStarted records an accepted sweep and its unique points
 // durably; points already answered from the cache at submit are
@@ -54,7 +22,7 @@ func (c *Coordinator) lookupResult(hash string) (server.RunResult, bool) {
 // No-op without a data dir. The sweep is not yet published, so its
 // fields are safe to read without the mutex.
 func (c *Coordinator) persistSweepStarted(sw *sweep) error {
-	if c.st == nil {
+	if c.Store() == nil {
 		return nil
 	}
 	pts := make([]store.SweepPoint, 0, len(sw.points))
@@ -65,7 +33,7 @@ func (c *Coordinator) persistSweepStarted(sw *sweep) error {
 		}
 		pts = append(pts, store.SweepPoint{Hash: pt.hash, Spec: raw, Label: pt.label, Count: pt.count})
 	}
-	if err := c.st.AppendSweepStarted(sw.id, sw.tenant, sw.total, pts); err != nil {
+	if err := c.Store().AppendSweepStarted(sw.id, sw.tenant, sw.total, pts); err != nil {
 		return err
 	}
 	for _, pt := range sw.points {
@@ -75,7 +43,7 @@ func (c *Coordinator) persistSweepStarted(sw *sweep) error {
 		if err := c.warehousePut(sw, pt); err != nil {
 			c.log.Error("warehouse put failed", "sweep", sw.id, "spec", pt.hash, "err", err)
 		}
-		if err := c.st.AppendPointDone(sw.id, pt.hash); err != nil {
+		if err := c.Store().AppendPointDone(sw.id, pt.hash); err != nil {
 			return err
 		}
 	}
@@ -87,7 +55,7 @@ func (c *Coordinator) persistSweepStarted(sw *sweep) error {
 // logged, not fatal: the point already settled in memory, and the
 // worst case after a crash is an idempotent re-dispatch.
 func (c *Coordinator) persistPoint(sw *sweep, pt *point, res *server.RunResult, errMsg string, sweepDone bool) {
-	if c.st == nil {
+	if c.Store() == nil {
 		return
 	}
 	var err error
@@ -95,9 +63,9 @@ func (c *Coordinator) persistPoint(sw *sweep, pt *point, res *server.RunResult, 
 		if werr := c.warehousePut(sw, pt); werr != nil {
 			c.log.Error("warehouse put failed", "sweep", sw.id, "spec", pt.hash, "err", werr)
 		}
-		err = c.st.AppendPointDone(sw.id, pt.hash)
+		err = c.Store().AppendPointDone(sw.id, pt.hash)
 	} else {
-		err = c.st.AppendPointFailed(sw.id, pt.hash, errMsg)
+		err = c.Store().AppendPointFailed(sw.id, pt.hash, errMsg)
 	}
 	if err != nil {
 		c.log.Error("wal append failed", "sweep", sw.id, "spec", pt.hash, "err", err)
@@ -111,10 +79,10 @@ func (c *Coordinator) persistPoint(sw *sweep, pt *point, res *server.RunResult, 
 // persistSweepDone settles the sweep's WAL entry so a restart stops
 // replaying it.
 func (c *Coordinator) persistSweepDone(sw *sweep) {
-	if c.st == nil {
+	if c.Store() == nil {
 		return
 	}
-	if err := c.st.AppendSweepDone(sw.id); err != nil {
+	if err := c.Store().AppendSweepDone(sw.id); err != nil {
 		c.log.Error("wal append failed", "sweep", sw.id, "err", err)
 	}
 }
@@ -133,7 +101,7 @@ func (c *Coordinator) warehousePut(sw *sweep, pt *point) error {
 	if workload == "" {
 		workload = pt.sim.Workload.Name
 	}
-	return c.st.Warehouse().Put(store.RunRecord{
+	return c.Store().Warehouse().Put(store.RunRecord{
 		SpecHash:  pt.hash,
 		Tenant:    sw.tenant,
 		Workload:  workload,
@@ -154,7 +122,7 @@ func (c *Coordinator) warehousePut(sw *sweep, pt *point) error {
 // as failed rather than wedging the log forever. Runs before the
 // coordinator serves requests, so no locking.
 func (c *Coordinator) replaySweeps() error {
-	st := c.st.State()
+	st := c.Store().State()
 	if st.MaxSweepID > c.nextSweep {
 		c.nextSweep = st.MaxSweepID
 	}
@@ -166,11 +134,11 @@ func (c *Coordinator) replaySweeps() error {
 			total:   ps.Total,
 		}
 		if sw.tenant == "" {
-			sw.tenant = c.tenants.Default().Name
+			sw.tenant = c.Tenants().Default().Name
 		}
 		// The old trace died with the old process; resumed dispatches
 		// share a fresh root span instead.
-		_, sw.span = c.tracer.StartSpan(context.Background(), "sweep",
+		_, sw.span = c.Tracer().StartSpan(context.Background(), "sweep",
 			otrace.String("sweep_id", sw.id),
 			otrace.String("tenant", sw.tenant),
 			otrace.String("resumed", "true"))
@@ -193,7 +161,7 @@ func (c *Coordinator) replaySweeps() error {
 			case settled && outcome == "":
 				pt.state = PointDone
 				pt.finished = time.Now()
-				if res, ok := c.lookupResult(pt.hash); ok {
+				if res, ok := c.LookupResult(pt.hash); ok {
 					pt.result = &res
 				}
 			case settled:
@@ -206,16 +174,16 @@ func (c *Coordinator) replaySweeps() error {
 				pt.finished = time.Now()
 				c.log.Warn("replay: settling unusable sweep point as failed",
 					"sweep", sw.id, "spec", pt.hash, "err", err)
-				if aerr := c.st.AppendPointFailed(sw.id, pt.hash, pt.errMsg); aerr != nil {
+				if aerr := c.Store().AppendPointFailed(sw.id, pt.hash, pt.errMsg); aerr != nil {
 					return aerr
 				}
 			default:
-				if res, ok := c.lookupResult(pt.hash); ok {
+				if res, ok := c.LookupResult(pt.hash); ok {
 					pt.state = PointDone
 					pt.cacheHit = true
 					pt.result = &res
 					pt.finished = time.Now()
-					if aerr := c.st.AppendPointDone(sw.id, pt.hash); aerr != nil {
+					if aerr := c.Store().AppendPointDone(sw.id, pt.hash); aerr != nil {
 						return aerr
 					}
 				} else {

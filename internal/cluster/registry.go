@@ -132,14 +132,14 @@ func (c *Coordinator) RegisterWorker(ctx context.Context, rawURL string) (Worker
 		health:     h,
 		attempts:   make(map[*attempt]struct{}),
 
-		mDispatched:  c.reg.Counter("lvpc_worker_dispatched_total", "Dispatch attempts per worker.", "worker", id),
-		mRetried:     c.reg.Counter("lvpc_worker_retried_total", "Retried dispatches per worker.", "worker", id),
-		mStolen:      c.reg.Counter("lvpc_worker_stolen_total", "Points stolen off this worker.", "worker", id),
-		mQuarantine:  c.reg.Counter("lvpc_worker_quarantined_total", "Circuit-open transitions per worker.", "worker", id),
-		mInflight:    c.reg.Gauge("lvpc_worker_inflight", "In-flight dispatches per worker.", "worker", id),
-		mDispatchDur: c.reg.Histogram("lvpc_worker_dispatch_seconds", "Wall time of one dispatch attempt, submit through the job's terminal event, per worker.", nil, "worker", id),
+		mDispatched:  c.Registry().Counter("lvpc_worker_dispatched_total", "Dispatch attempts per worker.", "worker", id),
+		mRetried:     c.Registry().Counter("lvpc_worker_retried_total", "Retried dispatches per worker.", "worker", id),
+		mStolen:      c.Registry().Counter("lvpc_worker_stolen_total", "Points stolen off this worker.", "worker", id),
+		mQuarantine:  c.Registry().Counter("lvpc_worker_quarantined_total", "Circuit-open transitions per worker.", "worker", id),
+		mInflight:    c.Registry().Gauge("lvpc_worker_inflight", "In-flight dispatches per worker.", "worker", id),
+		mDispatchDur: c.Registry().Histogram("lvpc_worker_dispatch_seconds", "Wall time of one dispatch attempt, submit through the job's terminal event, per worker.", nil, "worker", id),
 	}
-	c.reg.GaugeFunc("lvpc_worker_sim_mips",
+	c.Registry().GaugeFunc("lvpc_worker_sim_mips",
 		"Worker-reported simulation throughput (millions of instructions per second).",
 		func() float64 {
 			c.mu.Lock()

@@ -77,7 +77,7 @@ func TestSMTSweepAcrossCluster(t *testing.T) {
 	}
 
 	// The warehouse retained each point under its context count.
-	wh := coord.st.Warehouse()
+	wh := coord.Store().Warehouse()
 	ctx := func(n int) *int { return &n }
 	recs := wh.List(store.Filter{Contexts: ctx(4)})
 	if len(recs) != 1 || recs[0].Contexts != 4 || recs[0].Workload != "gcc2k" {

@@ -189,7 +189,7 @@ func (c *Coordinator) StartSweep(ctx context.Context, req server.SweepRequest) (
 	if !c.accepting.Load() {
 		return SweepStatus{}, fmt.Errorf("coordinator is shutting down")
 	}
-	tn := c.requestTenant(ctx)
+	tn := c.RequestTenant(ctx)
 	maxPoints := c.cfg.MaxSweepPoints
 	if tn.MaxSweepPoints > 0 && tn.MaxSweepPoints < maxPoints {
 		maxPoints = tn.MaxSweepPoints
@@ -213,7 +213,7 @@ func (c *Coordinator) StartSweep(ctx context.Context, req server.SweepRequest) (
 		created: time.Now(),
 		total:   len(points),
 	}
-	_, sw.span = c.tracer.StartSpan(ctx, "sweep",
+	_, sw.span = c.Tracer().StartSpan(ctx, "sweep",
 		otrace.String("sweep_id", sw.id),
 		otrace.String("tenant", sw.tenant),
 		otrace.String("total", strconv.Itoa(len(points))))
@@ -227,7 +227,7 @@ func (c *Coordinator) StartSweep(ctx context.Context, req server.SweepRequest) (
 			continue
 		}
 		pt := &point{hash: p.Hash, sim: p.Sim, label: p.Label, count: 1, state: PointPending}
-		if res, ok := c.lookupResult(p.Hash); ok {
+		if res, ok := c.LookupResult(p.Hash); ok {
 			pt.state = PointDone
 			pt.cacheHit = true
 			pt.result = &res

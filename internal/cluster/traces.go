@@ -62,7 +62,7 @@ func (c *Coordinator) shipTraces(sw *sweep, launch []*point) {
 		go func() {
 			defer wg.Done()
 			for ws := range todo {
-				key, data, err := c.traces.Artifact(ws.name, ws.insts)
+				key, data, err := c.Traces().Artifact(ws.name, ws.insts)
 				if errors.Is(err, trace.ErrOversize) {
 					continue // too big to record; every worker generates live
 				}

@@ -108,7 +108,7 @@ func TestClusterExternalTraceSweep(t *testing.T) {
 
 	// Both results were retained, attributed to the external workload
 	// and selectable by provenance.
-	recs := coord.st.Warehouse().List(store.Filter{Source: "external"})
+	recs := coord.Store().Warehouse().List(store.Filter{Source: "external"})
 	if len(recs) != 2 {
 		t.Fatalf("warehouse external records = %d, want 2", len(recs))
 	}
@@ -117,7 +117,7 @@ func TestClusterExternalTraceSweep(t *testing.T) {
 			t.Fatalf("warehouse workload = %q, want %q", rec.Workload, up.Workload)
 		}
 	}
-	if n := len(coord.st.Warehouse().List(store.Filter{Source: "synthetic"})); n != 0 {
+	if n := len(coord.Store().Warehouse().List(store.Filter{Source: "synthetic"})); n != 0 {
 		t.Fatalf("warehouse synthetic records = %d, want 0", n)
 	}
 }

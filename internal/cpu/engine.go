@@ -30,30 +30,6 @@ type Engine interface {
 	Instret(n uint64)
 }
 
-// BatchEngine is an optional Engine refinement for engines whose probe
-// computation is side-effect free until committed. The pipeline uses it
-// to probe a whole fetch group of upcoming predictable loads in one
-// call (amortizing dispatch and keeping predictor tables hot), then
-// commits each precomputed lookup as its load reaches the probe stage.
-//
-// The contract mirrors Composite.ProbeBatch: batched lookups reflect
-// engine state at ProbeBatch time, so the caller must discard the batch
-// whenever Train or Instret runs before a lookup is adopted. Engines
-// that cannot separate computation from recording simply don't
-// implement the interface and are probed one load at a time.
-type BatchEngine interface {
-	Engine
-
-	// ProbeBatch fills out[i] with the lookup Probe would compute for
-	// probe ps[i], recording nothing and allocating no handles.
-	ProbeBatch(ps []core.Probe, out []core.Lookup)
-
-	// AdoptProbe installs one batched lookup as the probe record for a
-	// fetched load, with the same result and side effects Probe would
-	// have had (handle allocation, statistics).
-	AdoptProbe(lk *core.Lookup) (rec uint64, pred core.Prediction, used bool)
-}
-
 // RecRingSize is the number of in-flight per-load records an engine
 // must retain between Probe and its matching Train. Must be a power of
 // two and exceed the pipeline's maximum training backlog (bounded by
@@ -80,22 +56,6 @@ func (e *CompositeEngine) Probe(p core.Probe) (uint64, core.Prediction, bool) {
 	lk := &e.recs[h&(RecRingSize-1)]
 	*lk = e.C.Probe(p)
 	pred, used := lk.Prediction()
-	return h, pred, used
-}
-
-// ProbeBatch implements BatchEngine.
-func (e *CompositeEngine) ProbeBatch(ps []core.Probe, out []core.Lookup) {
-	e.C.ProbeBatch(ps, out)
-}
-
-// AdoptProbe implements BatchEngine.
-func (e *CompositeEngine) AdoptProbe(lk *core.Lookup) (uint64, core.Prediction, bool) {
-	h := e.next
-	e.next++
-	dst := &e.recs[h&(RecRingSize-1)]
-	*dst = *lk
-	e.C.CommitProbe(dst)
-	pred, used := dst.Prediction()
 	return h, pred, used
 }
 

@@ -281,20 +281,6 @@ type Pipeline struct {
 	ras    *branch.RAS
 	engine Engine
 
-	// Probe batching (see batch.go). batchEng is the engine's
-	// BatchEngine refinement (nil when unsupported), lookahead the
-	// in-memory remainder of the instruction stream during slice-fast-
-	// path runs, engineGen a counter bumped on every engine mutation so
-	// stale batches are discarded. Batching only engages on the
-	// single-context fast path (lookahead is never set by RunSMT:
-	// interleaved contexts mutate the shared engine between any two of
-	// one context's probes, so a batch would never survive adoption).
-	batchEng  BatchEngine
-	lookahead []trace.Inst
-	engineGen uint64
-	batch     probeBatch
-	batchCool uint64 // no batch fills until this sequence number
-
 	// one is context 0, embedded so the single-context path keeps its
 	// state inline with the pipeline (and so a fresh Pipeline is usable
 	// without a slice allocation); ctxs lists every context, ctxs[0] ==
@@ -351,10 +337,6 @@ func (p *Pipeline) build(cfg Config, engine Engine) {
 	p.ittage = branch.NewITTAGE(cfg.ITTAGE)
 	p.ras = branch.NewRAS(cfg.RASSize)
 	p.engine = engine
-	p.batchEng = nil
-	if cfg.BatchProbes {
-		p.batchEng, _ = engine.(BatchEngine)
-	}
 	n := contextCount(cfg)
 	p.one.build(cfg, 0)
 	p.extra = make([]ctxSlice, n-1)
@@ -404,7 +386,6 @@ func configEqual(a, b Config) bool {
 		a.SuppressStoreConflicts == b.SuppressStoreConflicts &&
 		a.ReplayRecovery == b.ReplayRecovery &&
 		a.ReplayPenalty == b.ReplayPenalty &&
-		a.BatchProbes == b.BatchProbes &&
 		a.Contexts == b.Contexts &&
 		a.SMTQuantum == b.SMTQuantum
 }
@@ -425,12 +406,7 @@ func (p *Pipeline) Reset(cfg Config, engine Engine) {
 			s.reset()
 		}
 		p.engine = engine
-		p.batchEng = nil
-		if cfg.BatchProbes {
-			p.batchEng, _ = engine.(BatchEngine)
-		}
 	}
-	p.batch.n, p.batch.pos = 0, 0
 	p.cur = &p.one
 	p.runGen++ // retire all ring records without clearing 256KB
 	p.instretBatch = 0
@@ -592,9 +568,6 @@ func (p *Pipeline) RunCtx(ctx context.Context, gen trace.Generator, workload, co
 		// per-instruction interface dispatch, no 64-byte copy into the
 		// scratch slot. Identical control flow to the generic loop below.
 		insts := sl.Remaining()
-		p.lookahead = insts
-		p.batch.n, p.batch.pos = 0, 0
-		p.batchCool = 0
 		for seq < uint64(len(insts)) {
 			if done != nil && seq%cancelCheckInterval == 0 {
 				select {
@@ -620,7 +593,6 @@ func (p *Pipeline) RunCtx(ctx context.Context, gen trace.Generator, workload, co
 			}
 		}
 		sl.Advance(int(seq))
-		p.lookahead = nil
 	} else {
 		for {
 			if done != nil && seq%cancelCheckInterval == 0 {
@@ -655,7 +627,6 @@ func (p *Pipeline) RunCtx(ctx context.Context, gen trace.Generator, workload, co
 	if p.engine != nil && p.instretBatch > 0 {
 		p.engine.Instret(p.instretBatch)
 		p.instretBatch = 0
-		p.engineGen++
 	}
 	if p.progress != nil {
 		p.publishProgress(p.progress, &s.run, seq, lastCommit)
@@ -768,7 +739,6 @@ func (p *Pipeline) RunSMTCtx(ctx context.Context, gens []trace.Generator, worklo
 	if p.engine != nil && p.instretBatch > 0 {
 		p.engine.Instret(p.instretBatch)
 		p.instretBatch = 0
-		p.engineGen++
 	}
 	for _, s := range p.ctxs {
 		if s.progress != nil {
@@ -860,7 +830,7 @@ func (p *Pipeline) step(s *ctxSlice, seq uint64, in *trace.Inst) uint64 {
 			LoadPath:   s.loadPath,
 			Inflight:   s.inflight.get(in.PC),
 		}
-		rec, pred, delivered = p.probeLoad(s, seq, fc, probe)
+		rec, pred, delivered = p.engine.Probe(probe)
 		s.inflight.inc(in.PC)
 		// Even when no prediction is delivered, validation of the
 		// squashed/unchosen components resolves addresses as a probe
@@ -1046,7 +1016,6 @@ func (p *Pipeline) step(s *ctxSlice, seq uint64, in *trace.Inst) uint64 {
 		if p.instretBatch >= instretEvery {
 			p.engine.Instret(p.instretBatch)
 			p.instretBatch = 0
-			p.engineGen++
 		}
 	}
 	return cc
@@ -1225,7 +1194,6 @@ func (p *Pipeline) trainOne(s *ctxSlice, t pendingTrain) {
 	p.cur = s
 	s.trainSeq, s.trainProbeC = t.specSeq, t.probeC
 	p.engine.Train(t.outcome, t.rec, p.resolve)
-	p.engineGen++
 }
 
 // paqAdmit reports whether the Predicted Address Queue has room for a

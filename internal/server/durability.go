@@ -31,6 +31,10 @@ func (s *Server) persistAccepted(j *job) error {
 // a restart does not resurrect them. Persistence failures are logged,
 // not fatal — the job already settled in memory, and the worst case is
 // a re-run after restart, which the spec-hash cache identity absorbs.
+// Failed and canceled jobs dump their black box before the WAL append:
+// their state is already visible, and a client that asks for the
+// flight record next should find the durable one without also waiting
+// out the WAL's group commit.
 func (s *Server) persistTerminal(j *job, state, errMsg string, res *RunResult) {
 	if s.st == nil || s.crashed.Load() {
 		return
@@ -45,11 +49,11 @@ func (s *Server) persistTerminal(j *job, state, errMsg string, res *RunResult) {
 		}
 		err = s.st.AppendJobDone(j.id, j.key)
 	case StateFailed:
-		err = s.st.AppendJobFailed(j.id, j.key, errMsg)
 		s.dumpFlight(j, StateFailed)
+		err = s.st.AppendJobFailed(j.id, j.key, errMsg)
 	case StateCanceled:
-		err = s.st.AppendJobCanceled(j.id, j.key)
 		s.dumpFlight(j, StateCanceled)
+		err = s.st.AppendJobCanceled(j.id, j.key)
 	}
 	if err != nil {
 		s.log.Error("wal append failed", "id", j.id, "state", state, "err", err)
@@ -118,7 +122,7 @@ func (s *Server) replay() error {
 		// another deployment sharing the warehouse): settle without
 		// re-simulating — the spec hash makes re-execution idempotent,
 		// and the warehouse makes it unnecessary.
-		if res, ok := s.lookupResult(j.key); ok {
+		if res, ok := s.LookupResult(j.key); ok {
 			j.mu.Lock()
 			j.cacheHit = true
 			j.mu.Unlock()

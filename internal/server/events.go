@@ -17,8 +17,9 @@ func sseEventName(state string) string {
 	return state
 }
 
-// terminalState reports whether a job state is final.
-func terminalState(state string) bool {
+// TerminalState reports whether a job state is final. The event stream
+// names its terminal events after these states.
+func TerminalState(state string) bool {
 	switch state {
 	case StateDone, StateFailed, StateCanceled:
 		return true
@@ -64,7 +65,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 
 	st := j.status()
 	send(sseEventName(st.State), st)
-	if terminalState(st.State) {
+	if TerminalState(st.State) {
 		return
 	}
 	lastState := st.State
@@ -93,7 +94,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		case <-tick.C:
 			st := j.status()
-			if terminalState(st.State) {
+			if TerminalState(st.State) {
 				// j.done closes after the state settles; let that arm
 				// emit the terminal event exactly once.
 				continue

@@ -38,7 +38,7 @@ func readSSE(t *testing.T, body io.Reader) []sseEvent {
 		case line == "":
 			if cur.name != "" {
 				events = append(events, cur)
-				if terminalState(cur.name) {
+				if TerminalState(cur.name) {
 					return events
 				}
 			}

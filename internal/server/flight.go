@@ -175,7 +175,7 @@ func (s *Server) handleFlightRecord(w http.ResponseWriter, r *http.Request) {
 	j := s.jobs[id]
 	s.mu.Unlock()
 	if j != nil {
-		if !terminalState(j.status().State) {
+		if !TerminalState(j.status().State) {
 			writeJSON(w, http.StatusOK, j.flightRecord(""))
 			return
 		}

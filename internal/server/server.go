@@ -11,7 +11,6 @@ import (
 	"net/http/pprof"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,7 +21,6 @@ import (
 	otrace "repro/internal/obs/trace"
 	"repro/internal/obs/tsdb"
 	"repro/internal/spec"
-	"repro/internal/store"
 	"repro/internal/tenant"
 	"repro/internal/trace"
 )
@@ -55,10 +53,11 @@ type Config struct {
 	CacheSize int
 
 	// DefaultInsts is the instruction budget applied to requests that
-	// leave Insts at 0 (default 200k).
+	// leave Insts at 0 (default 200k, the package's DefaultInsts).
 	DefaultInsts uint64
 
-	// MaxInsts clamps per-request budgets (default 5M; -1 = unlimited).
+	// MaxInsts clamps per-request budgets (default 5M, the package's
+	// DefaultMaxInsts; -1 = unlimited).
 	MaxInsts int64
 
 	// JobTimeout is the per-job simulation deadline applied when a
@@ -162,10 +161,10 @@ func (c *Config) applyDefaults() {
 		c.CacheSize = 1024
 	}
 	if c.DefaultInsts == 0 {
-		c.DefaultInsts = 200_000
+		c.DefaultInsts = DefaultInsts
 	}
 	if c.MaxInsts == 0 {
-		c.MaxInsts = 5_000_000
+		c.MaxInsts = DefaultMaxInsts
 	}
 	if c.JobTimeout <= 0 {
 		c.JobTimeout = 2 * time.Minute
@@ -368,14 +367,12 @@ type simKey struct {
 }
 
 // Server is the simulation-as-a-service daemon core: handlers, queue,
-// worker pool, caches, and metrics. Create with New, start the workers
-// with Start, mount Handler on an http.Server, and stop with Shutdown.
+// worker pool, and job metrics, on the serving Shell it shares with
+// the cluster coordinator. Create with New, start the workers with
+// Start, mount Handler on an http.Server, and stop with Shutdown.
 type Server struct {
-	cfg    Config
-	log    *slog.Logger
-	reg    *obs.Registry
-	tracer *otrace.Recorder
-	mux    *http.ServeMux
+	*Shell
+	cfg Config
 
 	// lifeCtx parents every job context; lifeStop aborts all
 	// simulations (used as the shutdown hard stop).
@@ -386,38 +383,14 @@ type Server struct {
 	// queueing scheduler over per-tenant queues. Workers block in
 	// Dequeue; Shutdown closes it.
 	sched     *tenant.WFQ
-	tenants   *tenant.Registry
 	wg        sync.WaitGroup
 	accepting atomic.Bool
-
-	// st is the durable store (nil without DataDir). crashed is a test
-	// hook: once set, no further WAL or warehouse writes happen, so a
-	// subsequent Shutdown leaves the store exactly as a SIGKILL would.
-	st      *store.Store
-	crashed atomic.Bool
-
-	// The observability plane: the embedded time-series store sampled
-	// from the registry by the collector, and the optional SLO alerter.
-	// obsWG tracks their loops so Shutdown can stop them (via lifeStop)
-	// before the store closes under the flight recorder.
-	tsdb      *tsdb.DB
-	collector *tsdb.Collector
-	alerter   *tsdb.Alerter
-	obsWG     sync.WaitGroup
-
-	// traces is the content-addressed recorded-trace store shared by
-	// every simulation context: each workload stream is generated at
-	// most once per process (or fetched from TraceCacheDir / a
-	// coordinator upload) and replayed by all runs that need it.
-	traces *trace.ArtifactStore
 
 	mu      sync.Mutex
 	jobs    map[string]*job
 	order   []string // finished-job retention FIFO
 	nextID  uint64
 	simCtxs map[simKey]*expt.Context
-
-	cache *ResultCache
 
 	// drainEWMA holds the float64 bits of an exponentially weighted
 	// moving average of recent job durations, the basis of the
@@ -436,9 +409,6 @@ type Server struct {
 	mJobDur     *obs.Histogram
 	mSimInsts   *obs.Counter
 	mThrottled  *obs.Counter
-	mAuthFailed *obs.Counter
-	mUploads    *obs.Counter
-	mWALFsync   *obs.Histogram
 	mSSEDropped *obs.Counter
 
 	// Per-tenant counters, keyed by tenant name (registry is immutable,
@@ -458,22 +428,34 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	cfg.applyDefaults()
-	tenants := cfg.Tenants
-	if tenants == nil {
-		tenants = tenant.Single()
+	var s *Server
+	sh, err := NewShell(ShellConfig{
+		Prefix:            "lvpd",
+		ServiceName:       cfg.ServiceName,
+		Logger:            cfg.Logger,
+		Tenants:           cfg.Tenants,
+		CacheSize:         cfg.CacheSize,
+		TraceCacheDir:     cfg.TraceCacheDir,
+		DataDir:           cfg.DataDir,
+		FlightCap:         cfg.FlightCap,
+		ObsScrapeInterval: cfg.ObsScrapeInterval,
+		ObsRetention:      cfg.ObsRetention,
+		Alerts:            cfg.Alerts,
+		// The flight recorder samples running jobs on every scrape and
+		// dumps their black boxes when an alert fires.
+		OnScrape: func(now time.Time) { s.sampleFlights(now) },
+		OnAlert:  func(n tsdb.Notification) { s.onAlertTransition(n) },
+	})
+	if err != nil {
+		return nil, err
 	}
-	reg := obs.NewRegistry()
-	s := &Server{
+	reg := sh.reg
+	s = &Server{
+		Shell:   sh,
 		cfg:     cfg,
-		log:     cfg.Logger,
-		reg:     reg,
-		tracer:  otrace.NewRecorder(cfg.ServiceName, 0),
-		mux:     http.NewServeMux(),
 		sched:   tenant.NewWFQ(),
-		tenants: tenants,
 		jobs:    make(map[string]*job),
 		simCtxs: make(map[simKey]*expt.Context),
-		cache:   NewResultCache(cfg.CacheSize),
 
 		mAccepted:   reg.Counter("lvpd_jobs_total", "Jobs by terminal or entry state.", "state", "accepted"),
 		mDone:       reg.Counter("lvpd_jobs_total", "Jobs by terminal or entry state.", "state", "done"),
@@ -487,9 +469,6 @@ func New(cfg Config) (*Server, error) {
 		mJobDur:     reg.Histogram("lvpd_job_duration_seconds", "Wall time from dequeue to completion.", nil),
 		mSimInsts:   reg.Counter("lvpd_sim_instructions_total", "Instructions simulated (rate gives sim instructions/sec)."),
 		mThrottled:  reg.Counter("lvpd_jobs_total", "Jobs by terminal or entry state.", "state", "throttled"),
-		mAuthFailed: reg.Counter("lvpd_auth_failures_total", "Requests rejected for a missing or unknown API key."),
-		mUploads:    reg.Counter("lvpd_trace_uploads_total", "External trace files accepted via POST /v1/workloads."),
-		mWALFsync:   reg.Histogram("lvpd_wal_fsync_seconds", "Group-commit fsync latency on the WAL append path.", fsyncBuckets),
 		mSSEDropped: reg.Counter("lvpd_sse_streams_dropped_total", "Job event streams whose client disconnected before the terminal event."),
 
 		mTenantDispatched: make(map[string]*obs.Counter),
@@ -497,7 +476,7 @@ func New(cfg Config) (*Server, error) {
 		mTenantRejected:   make(map[string]*obs.Counter),
 		mTenantSimInsts:   make(map[string]*obs.Counter),
 	}
-	for _, tn := range tenants.Tenants() {
+	for _, tn := range sh.tenants.Tenants() {
 		name := tn.Name
 		s.mTenantAccepted[name] = reg.Counter("lvpd_tenant_jobs_total", "Per-tenant jobs by state.", "tenant", name, "state", "accepted")
 		s.mTenantRejected[name] = reg.Counter("lvpd_tenant_jobs_total", "Per-tenant jobs by state.", "tenant", name, "state", "rejected")
@@ -508,20 +487,6 @@ func New(cfg Config) (*Server, error) {
 			func() float64 { return float64(s.sched.TenantLen(name)) },
 			"tenant", name)
 		s.registerTenantStarvationGauges(name)
-	}
-	traces, err := trace.NewArtifactStore(cfg.TraceCacheDir, 0)
-	if err != nil {
-		return nil, err
-	}
-	traces.SetLogger(s.log)
-	s.traces = traces
-	// Uploaded external traces persisted by a previous process register
-	// their names again, so specs referencing "ext:<hash>" keep
-	// validating across restarts.
-	if n, err := traces.RehydrateExternal(); err != nil {
-		s.log.Warn("scanning trace cache for external workloads failed", "err", err)
-	} else if n > 0 {
-		s.log.Info("external workloads rehydrated from trace cache", "count", n)
 	}
 	// Artifact-store counters are snapshots of the store's own stats,
 	// rendered as counters at scrape time (the store already counts
@@ -559,30 +524,14 @@ func New(cfg Config) (*Server, error) {
 		})
 	s.lifeCtx, s.lifeStop = context.WithCancel(context.Background())
 	s.routes()
-	if cfg.DataDir != "" {
-		st, err := store.Open(cfg.DataDir, store.Options{
-			WAL:       store.WALOptions{FsyncObserver: s.mWALFsync.Observe},
-			FlightCap: cfg.FlightCap,
-		})
-		if err != nil {
-			return nil, err
-		}
-		s.st = st
+	if s.st != nil {
 		if err := s.replay(); err != nil {
-			st.Close()
+			s.st.Close()
 			return nil, err
 		}
 	}
-	s.initObs()
 	return s, nil
 }
-
-// Registry exposes the metrics registry (for tests and embedding).
-func (s *Server) Registry() *obs.Registry { return s.reg }
-
-// Tracer exposes the span recorder (for tests and for coordinators
-// that merge worker traces into their own).
-func (s *Server) Tracer() *otrace.Recorder { return s.tracer }
 
 // Start launches the worker pool. Workers pull from the WFQ scheduler,
 // which hands out the queued job with the smallest virtual finish tag —
@@ -607,7 +556,7 @@ func (s *Server) Start() {
 			}
 		}()
 	}
-	s.startObs()
+	s.Shell.Start()
 }
 
 // Shutdown drains the service: no new submissions are accepted, queued
@@ -632,72 +581,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		<-done
 		err = ctx.Err()
 	}
-	// The workers are drained; stop the observability loops (they run
-	// on lifeCtx) and wait them out before the store closes under the
-	// flight recorder.
 	s.lifeStop()
-	s.obsWG.Wait()
-	if s.st != nil && !s.crashed.Load() {
-		if cerr := s.st.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
+	if serr := s.Shell.Shutdown(); serr != nil && err == nil {
+		err = serr
 	}
 	return err
-}
-
-// Handler returns the HTTP handler tree with request logging, trace
-// propagation, and tenant authentication applied. The trace middleware
-// is outermost so a submit request's traceparent header is on the
-// context before any handler (or log line) runs; auth is innermost so
-// failures still show up in the request log.
-func (s *Server) Handler() http.Handler {
-	return s.tracer.Middleware(s.logMiddleware(s.authMiddleware(s.mux)))
-}
-
-// authMiddleware resolves the request's tenant and stores it in the
-// context. Only the /v1/ API surface requires a key; health, metrics,
-// and debug endpoints stay open (they carry no tenant data and probes
-// have no credentials). In single-tenant mode every request maps to
-// the default tenant. A Proxy-flagged tenant (the coordinator's worker
-// credential) may attribute its work to another tenant via the
-// X-Lvpd-Tenant header.
-func (s *Server) authMiddleware(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !strings.HasPrefix(r.URL.Path, "/v1/") {
-			next.ServeHTTP(w, r)
-			return
-		}
-		key := tenant.KeyFromAuth(r.Header.Get("Authorization"), r.Header.Get("X-API-Key"))
-		tn, ok := s.tenants.Authenticate(key)
-		if !ok {
-			s.mAuthFailed.Inc()
-			writeError(w, http.StatusUnauthorized, "missing or unknown API key")
-			return
-		}
-		if name := r.Header.Get("X-Lvpd-Tenant"); name != "" && name != tn.Name {
-			if !tn.Proxy {
-				writeError(w, http.StatusForbidden, "tenant is not allowed to attribute work to others")
-				return
-			}
-			attributed, ok := s.tenants.ByName(name)
-			if !ok {
-				writeError(w, http.StatusForbidden, "unknown tenant in X-Lvpd-Tenant")
-				return
-			}
-			tn = attributed
-		}
-		next.ServeHTTP(w, r.WithContext(tenant.NewContext(r.Context(), tn)))
-	})
-}
-
-// requestTenant resolves the tenant the auth middleware attached;
-// requests that bypass Handler (tests hitting s.mux directly) fall
-// back to the default tenant.
-func (s *Server) requestTenant(r *http.Request) *tenant.Tenant {
-	if tn := tenant.FromContext(r.Context()); tn != nil {
-		return tn
-	}
-	return s.tenants.Default()
 }
 
 func (s *Server) routes() {
@@ -715,56 +603,14 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("PUT /v1/traces/{hash}", s.handlePutTrace)
 	s.mux.HandleFunc("GET /v1/presets", s.handlePresets)
 	s.mux.HandleFunc("GET /v1/workloads", s.handleWorkloads)
-	s.mux.HandleFunc("POST /v1/workloads", s.handleUploadWorkload)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
-	s.mux.HandleFunc("GET /v1/metrics/query", s.handleMetricsQuery)
-	s.mux.HandleFunc("GET /v1/alerts", s.handleAlerts)
-	s.mux.Handle("GET /debug/traces", s.tracer.IndexHandler())
 	s.mux.Handle("GET /debug/traces/{id}", s.tracer.ExportHandler())
-	s.mux.Handle("GET /metrics", s.reg.Handler())
 	s.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 	s.mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
 	s.mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
 	s.mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 	s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
-}
-
-// statusRecorder captures the response code for the request log.
-type statusRecorder struct {
-	http.ResponseWriter
-	code int
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	r.code = code
-	r.ResponseWriter.WriteHeader(code)
-}
-
-// Flush forwards to the wrapped writer so SSE streams (which flush per
-// event) survive the logging wrapper.
-func (r *statusRecorder) Flush() {
-	if f, ok := r.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-func (s *Server) logMiddleware(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
-		next.ServeHTTP(rec, r)
-		s.reg.Counter("lvpd_http_requests_total", "HTTP requests by status code.",
-			"code", fmt.Sprintf("%d", rec.code)).Inc()
-		s.observeRequest(r, rec.code, time.Since(start).Seconds())
-		s.log.InfoContext(r.Context(), "http",
-			"method", r.Method,
-			"path", r.URL.Path,
-			"code", rec.code,
-			"dur_ms", time.Since(start).Milliseconds(),
-			"remote", r.RemoteAddr,
-		)
-	})
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -811,7 +657,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	tn := s.requestTenant(r)
+	tn := s.RequestTenant(r.Context())
 	j, code, retryAfter := s.admit(tn, sim, req.Label(sim), req.TimeoutMS, otrace.ContextSpanContext(r.Context()))
 	switch code {
 	case http.StatusOK, http.StatusAccepted:
@@ -894,7 +740,7 @@ func (s *Server) admit(tn *tenant.Tenant, sim spec.Sim, label string, timeoutMS 
 	j := s.newJob(tn, sim, label, timeoutMS, parent)
 
 	// Cache: equivalent requests are answered without re-simulating.
-	if res, ok := s.lookupResult(j.key); ok {
+	if res, ok := s.LookupResult(j.key); ok {
 		s.mCacheHits.Inc()
 		j.mu.Lock()
 		j.cacheHit = true
@@ -954,28 +800,6 @@ func (s *Server) admit(tn *tenant.Tenant, sim spec.Sim, label string, timeoutMS 
 		c.Inc()
 	}
 	return j, http.StatusAccepted, 0
-}
-
-// lookupResult consults the in-memory LRU, then the warehouse (which
-// retains every finished run beyond the LRU's capacity), promoting
-// warehouse hits back into the LRU.
-func (s *Server) lookupResult(key string) (RunResult, bool) {
-	if res, ok := s.cache.Get(key); ok {
-		return res, true
-	}
-	if s.st == nil {
-		return RunResult{}, false
-	}
-	rec, ok := s.st.Warehouse().Get(key)
-	if !ok {
-		return RunResult{}, false
-	}
-	var res RunResult
-	if err := json.Unmarshal(rec.Result, &res); err != nil {
-		return RunResult{}, false
-	}
-	s.cache.Put(key, res)
-	return res, true
 }
 
 // newJob registers a fresh queued job.

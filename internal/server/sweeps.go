@@ -182,7 +182,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
-	tn := s.requestTenant(r)
+	tn := s.RequestTenant(r.Context())
 	maxPoints := s.cfg.MaxSweepPoints
 	if tn.MaxSweepPoints > 0 && tn.MaxSweepPoints < maxPoints {
 		maxPoints = tn.MaxSweepPoints
