@@ -52,11 +52,8 @@ import (
 )
 
 // buildGen returns the instruction source: a recorded trace when
-// -replay is given, a cursor over the content-addressed artifact cache
-// when -trace-cache-dir is set (the baseline and configured runs then
-// replay one shared recording, generated or read from disk at most
-// once), or a live workload generator.
-func buildGen(workload string, insts uint64, replay string, traces *trace.ArtifactStore) (trace.Generator, string, error) {
+// -replay is given, otherwise a live workload generator.
+func buildGen(workload string, insts uint64, replay string) (trace.Generator, string, error) {
 	if replay != "" {
 		f, err := os.Open(replay)
 		if err != nil {
@@ -71,16 +68,6 @@ func buildGen(workload string, insts uint64, replay string, traces *trace.Artifa
 	w, ok := trace.ByName(workload)
 	if !ok {
 		return nil, "", fmt.Errorf("unknown workload %q (see -list)", workload)
-	}
-	if traces != nil {
-		cur, err := traces.Cursor(w.Name, insts)
-		if err == nil {
-			return cur, w.Name, nil
-		}
-		if !errors.Is(err, trace.ErrOversize) {
-			return nil, "", err
-		}
-		// Too big to record under the store budget: run live.
 	}
 	return w.Build(insts), w.Name, nil
 }
@@ -178,21 +165,11 @@ func buildSpec(specFile, preset string, fs *flag.FlagSet,
 // stream per hardware context, interleaved on a single pipeline whose
 // predictors, caches, and TLBs are shared across contexts. Output
 // mirrors the single-context path, plus one line per context.
-func runSMT(sim spec.Sim, label string, traces *trace.ArtifactStore, jsonOut bool, phaseSpan func(string) func()) {
+func runSMT(sim spec.Sim, label string, jsonOut bool, phaseSpan func(string) func()) {
 	streams := sim.ContextStreams()
 	newGens := func() []trace.Generator {
 		gens := make([]trace.Generator, len(streams))
 		for i, s := range streams {
-			if traces != nil {
-				cur, err := traces.Cursor(s, sim.Workload.Insts)
-				if err == nil {
-					gens[i] = cur
-					continue
-				}
-				if !errors.Is(err, trace.ErrOversize) {
-					fatal(err)
-				}
-			}
 			g, ok := trace.BuildStream(s, sim.Workload.Insts)
 			if !ok {
 				fatal(fmt.Errorf("unknown stream %q (see -list)", s))
@@ -284,7 +261,6 @@ func main() {
 		replay    = flag.String("replay", "", "simulate a recorded trace file instead of a workload")
 		traceFile = flag.String("trace", "", "simulate an external CVP-1-style trace file (LVPX): convert, register as ext:<hash>, run")
 		traceInfo = flag.String("trace-info", "", "print an external trace file's header and conversion report, then exit")
-		traceDir  = flag.String("trace-cache-dir", "", "content-addressed recorded-trace artifact cache; runs replay a shared recording generated (or read) at most once")
 		jsonOut   = flag.Bool("json", false, "emit the run result as one JSON object on stdout")
 		traceOut  = flag.String("trace-out", "", "write this run's spans as Chrome trace-event JSON to this file (view in Perfetto)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -405,14 +381,8 @@ func main() {
 		return
 	}
 
-	var traces *trace.ArtifactStore
-	if *traceDir != "" {
-		if traces, err = trace.NewArtifactStore(*traceDir, 0); err != nil {
-			fatal(err)
-		}
-	}
 	newGen := func() trace.Generator {
-		gen, _, err := buildGen(sim.Workload.Name, sim.Workload.Insts, *replay, traces)
+		gen, _, err := buildGen(sim.Workload.Name, sim.Workload.Insts, *replay)
 		if err != nil {
 			fatal(err)
 		}
@@ -465,7 +435,7 @@ func main() {
 		if *replay != "" {
 			fatal(errors.New("-replay replays one recorded stream; it cannot drive a multi-context run"))
 		}
-		runSMT(sim, label, traces, *jsonOut, phaseSpan)
+		runSMT(sim, label, *jsonOut, phaseSpan)
 		return
 	}
 

@@ -32,7 +32,7 @@ type ClusterHealth struct {
 // routes registers the coordinator's API next to the routes the
 // shell serves (GET /metrics, /debug/traces, /v1/metrics/query and
 // /v1/alerts, and POST /v1/workloads, whose uploads StartSweep
-// pre-ships to workers like recorded synthetic streams):
+// pre-ships to workers):
 //
 //	POST   /v1/cluster/workers      register (or reactivate) a worker
 //	GET    /v1/cluster/workers      list workers with state and load

@@ -121,12 +121,11 @@ type Config struct {
 	// their submitting tenant's attribution (X-Lvpd-Tenant).
 	WorkerAPIKey string
 
-	// TraceCacheDir backs the coordinator's recorded-trace artifact
-	// store with a content-addressed directory shared across restarts.
-	// Empty keeps the store memory-only. Either way, the coordinator
-	// records each sweep's workload streams once and pre-ships the
-	// artifacts to its workers, so a sweep's fan-out replays shared
-	// recordings instead of generating the stream once per worker.
+	// TraceCacheDir persists traces uploaded to the coordinator
+	// (POST /v1/workloads) across restarts. Empty keeps them in memory
+	// only. Either way, the coordinator pre-ships each sweep's uploaded
+	// traces to its workers; workers generate synthetic streams
+	// themselves.
 	TraceCacheDir string
 
 	// Tenants authenticates the coordinator's own API clients and
@@ -342,9 +341,9 @@ func New(cfg Config) (*Coordinator, error) {
 		mPtsCached:   reg.Counter("lvpc_points_total", "Sweep points by outcome.", "state", "cached"),
 		mPtsDeduped:  reg.Counter("lvpc_points_total", "Sweep points by outcome.", "state", "deduped"),
 		mTraceShipped: reg.Counter("lvpc_trace_artifacts_shipped_total",
-			"Trace artifacts successfully pre-shipped to workers (one per artifact per worker)."),
+			"Uploaded-trace artifacts successfully pre-shipped to workers (one per artifact per worker)."),
 		mTraceShipFailed: reg.Counter("lvpc_trace_artifact_ship_failures_total",
-			"Trace artifact uploads that failed (the worker falls back to live generation)."),
+			"Uploaded-trace artifact pre-ships that failed (the worker rejects points that need the trace)."),
 
 		mTenantSweeps: make(map[string]*obs.Counter),
 		mTenantPoints: make(map[string]*obs.Counter),
@@ -357,7 +356,7 @@ func New(cfg Config) (*Coordinator, error) {
 	// Rendered as a counter at scrape time: artifact generations only
 	// ever accrue, and counter typing lets rate() work over them.
 	reg.CounterFunc("lvpc_trace_artifacts_generated_total",
-		"Workload streams the coordinator recorded for pre-shipping.",
+		"Uploaded-trace streams the coordinator recorded for pre-shipping (workers generate synthetic streams).",
 		func() float64 { return float64(sh.Traces().Stats().Generated) })
 	c.registerFleetGauges()
 	c.lifeCtx, c.lifeStop = context.WithCancel(context.Background())

@@ -265,10 +265,10 @@ func (c *Coordinator) StartSweep(ctx context.Context, req server.SweepRequest) (
 		ctr.Inc()
 	}
 
-	// Pre-ship the sweep's recorded-trace artifacts before any point is
-	// dispatched, so workers replay a stream the coordinator recorded
-	// once instead of each generating it. Shipping failures only cost
-	// the optimization: a worker without the artifact generates live.
+	// Pre-ship the sweep's uploaded traces before any point is
+	// dispatched: a worker knows an ext: workload only once it holds
+	// the trace. Synthetic streams are not shipped; each worker
+	// generates the ones its points use.
 	c.shipTraces(sw, launch)
 
 	for _, pt := range launch {

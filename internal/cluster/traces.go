@@ -9,23 +9,22 @@ import (
 	"repro/internal/trace"
 )
 
-// shipTraces records each distinct (workload, insts) stream among the
-// launched points once and uploads the resulting artifacts to every
-// active worker (PUT /v1/traces/{hash}). It runs synchronously in
-// StartSweep, before dispatch: artifacts are small (a gzip-compressed
-// stream, a few bytes per instruction) and shipping them first means
-// even the sweep's first point replays a recording. Streams are
-// recorded and encoded on up to GOMAXPROCS goroutines, and each
-// artifact's uploads start as soon as it is encoded.
+// shipTraces records each distinct (workload, insts) stream of an
+// uploaded trace among the launched points once and uploads the
+// resulting artifacts to every active worker (PUT /v1/traces/{hash}).
+// A worker cannot rebuild an uploaded trace from its name, and the
+// artifact also registers the ext: name there, so StartSweep runs this
+// before dispatch. Synthetic streams are not shipped: each worker
+// generates the ones its points use, which costs less than decoding a
+// shipped artifact (DESIGN.md §13.1). Streams are recorded and encoded
+// on up to GOMAXPROCS goroutines, and each artifact's uploads start as
+// soon as it is encoded.
 //
-// Everything here is best-effort. A worker that misses its upload —
-// registered mid-sweep, transient network failure, artifact too large —
-// simply generates the stream live when its first point arrives, which
-// is exactly the pre-shipping behavior.
+// Failures are logged and counted, not returned. A worker that misses
+// its upload — registered mid-sweep, transient network failure,
+// artifact too large — rejects the points that need the trace unless
+// it already holds it.
 func (c *Coordinator) shipTraces(sw *sweep, launch []*point) {
-	if len(launch) == 0 {
-		return
-	}
 	type workloadSpec struct {
 		name  string
 		insts uint64
@@ -35,8 +34,13 @@ func (c *Coordinator) shipTraces(sw *sweep, launch []*point) {
 		// Multi-context points replay one stream per hardware context;
 		// single-context points reduce to the bare workload name.
 		for _, stream := range pt.sim.ContextStreams() {
-			specs[workloadSpec{stream, pt.sim.Workload.Insts}] = struct{}{}
+			if !trace.Regenerable(stream) {
+				specs[workloadSpec{stream, pt.sim.Workload.Insts}] = struct{}{}
+			}
 		}
+	}
+	if len(specs) == 0 {
+		return
 	}
 
 	c.mu.Lock()
@@ -64,13 +68,13 @@ func (c *Coordinator) shipTraces(sw *sweep, launch []*point) {
 			for ws := range todo {
 				key, data, err := c.Traces().Artifact(ws.name, ws.insts)
 				if errors.Is(err, trace.ErrOversize) {
-					continue // too big to record; every worker generates live
+					continue // too big to record, so too big to ship
 				}
 				if err != nil {
 					// Unknown workload or unreadable cache: dispatch
 					// validation will surface the former; the latter only
 					// loses the reuse.
-					c.log.Warn("trace artifact unavailable, workers will generate live",
+					c.log.Warn("trace artifact unavailable, not shipped",
 						"sweep", sw.id, "workload", ws.name, "insts", ws.insts, "err", err)
 					continue
 				}
@@ -82,7 +86,7 @@ func (c *Coordinator) shipTraces(sw *sweep, launch []*point) {
 						defer cancel()
 						if err := c.workerClient(url, nil).putTrace(ctx, key, data); err != nil {
 							c.mTraceShipFailed.Inc()
-							c.log.Warn("trace artifact ship failed, worker will generate live",
+							c.log.Warn("trace artifact ship failed",
 								"sweep", sw.id, "worker", url, "artifact", key, "err", err)
 							return
 						}

@@ -103,12 +103,12 @@ type Config struct {
 	// owns the whole queue).
 	Tenants *tenant.Registry
 
-	// TraceCacheDir backs the recorded-trace artifact store with a
-	// directory of content-addressed compressed artifacts, shared across
-	// restarts (and across processes pointed at the same directory).
-	// Empty keeps the store memory-only: streams are still recorded
-	// once per (workload, insts) and replayed by every run, but nothing
-	// survives the process.
+	// TraceCacheDir persists uploaded traces (POST /v1/workloads, or
+	// PUT /v1/traces from a coordinator) as content-addressed compressed
+	// artifacts, so they survive restarts. Empty keeps them in memory
+	// only. Either way every stream is recorded once per (workload,
+	// insts) and replayed by every run while it stays resident; a
+	// synthetic stream is regenerated after eviction or restart.
 	TraceCacheDir string
 
 	// ObsScrapeInterval is the cadence at which the embedded
@@ -501,10 +501,10 @@ func New(cfg Config) (*Server, error) {
 		func() float64 { return float64(s.traces.Stats().DiskHits) },
 		"source", "disk")
 	reg.CounterFunc("lvpd_trace_artifact_generated_total",
-		"Workload streams generated live (artifact cache misses).",
+		"Streams recorded by running their generator on an artifact store miss (synthetic streams are regenerated, never cached on disk).",
 		func() float64 { return float64(s.traces.Stats().Generated) })
 	reg.CounterFunc("lvpd_trace_artifact_received_total",
-		"Trace artifacts installed via PUT /v1/traces (coordinator pre-shipping).",
+		"Trace artifacts installed via PUT /v1/traces (a coordinator pre-shipping an uploaded trace) or POST /v1/workloads.",
 		func() float64 { return float64(s.traces.Stats().Received) })
 	reg.CounterFunc("lvpd_trace_artifact_corrupt_total",
 		"Disk cache artifacts that failed to decode and were regenerated or skipped.",

@@ -12,10 +12,11 @@ import (
 const maxTraceArtifactBytes = 64 << 20
 
 // handleGetTrace serves the encoded artifact stored under the content
-// address in the path, if this process holds it (resident or in the
-// trace cache directory). It never generates: an address alone does not
-// say which workload to run, and generation stays tied to simulation
-// demand.
+// address in the path, if this process holds it (resident, or an
+// uploaded trace in the trace cache directory). It never generates: an
+// address alone does not say which workload to run, and generation
+// stays tied to simulation demand. A synthetic stream is therefore
+// served only while it is resident.
 func (s *Server) handleGetTrace(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("hash")
 	data, ok := s.traces.Export(key)
@@ -28,11 +29,11 @@ func (s *Server) handleGetTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 // handlePutTrace installs a pre-generated artifact under its content
-// address — the coordinator's pre-shipping path, which lets a sweep's
-// workers replay a stream the coordinator recorded once instead of
-// each generating it. The store verifies that the decoded content
-// hashes to the address before accepting, so a worker cannot be fed a
-// stream that doesn't match the spec it will later simulate.
+// address — the coordinator's pre-shipping path, which hands a sweep's
+// workers the uploaded traces they cannot generate. The store verifies
+// that the decoded content hashes to the address before accepting, so
+// a worker cannot be fed a stream that doesn't match the spec it will
+// later simulate.
 func (s *Server) handlePutTrace(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("hash")
 	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxTraceArtifactBytes))

@@ -5,6 +5,7 @@ import (
 	"compress/gzip"
 	"io"
 	"net/http"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -111,9 +112,11 @@ func TestTraceEndpoints(t *testing.T) {
 	mustMetric(t, text, `lvpd_trace_artifact_hits_total{source="memory"} 2`)
 }
 
-// TestTraceCacheDirSurvivesRestart pins the disk layer: a restarted
-// server pointed at the same TraceCacheDir replays recorded artifacts
-// instead of regenerating them.
+// TestTraceCacheDirSurvivesRestart pins what the disk layer leaves
+// out: a synthetic stream is never written to the TraceCacheDir, so a
+// restarted server over the same directory regenerates it.
+// (TestUploadWorkloadSurvivesRestart pins the uploads the directory
+// does keep.)
 func TestTraceCacheDirSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	_, ts := newTestServer(t, Config{Workers: 1, TraceCacheDir: dir})
@@ -124,7 +127,11 @@ func TestTraceCacheDirSurvivesRestart(t *testing.T) {
 	_, st = submit(t, ts2, JobRequest{Workload: "gcc2k", Predictor: "lvp", Insts: 20_000})
 	waitState(t, ts2, st.ID, 30*time.Second, StateDone)
 	text := metricsText(t, ts2)
-	mustMetric(t, text, `lvpd_trace_artifact_generated_total 0`)
-	mustMetric(t, text, `lvpd_trace_artifact_hits_total{source="disk"} 1`)
+	mustMetric(t, text, `lvpd_trace_artifact_generated_total 1`)
+	mustMetric(t, text, `lvpd_trace_artifact_hits_total{source="disk"} 0`)
 	mustMetric(t, text, `lvpd_trace_artifact_hits_total{source="memory"} 1`)
+	files, err := filepath.Glob(filepath.Join(dir, trace.ArtifactKey("gcc2k", 20_000)+"*"))
+	if err != nil || len(files) != 0 {
+		t.Fatalf("trace cache dir holds %v (err %v) for a synthetic stream, want nothing", files, err)
+	}
 }

@@ -333,51 +333,116 @@ func TestArtifactStoreConcurrentCursors(t *testing.T) {
 }
 
 func TestArtifactStoreDiskReuse(t *testing.T) {
-	dir := t.TempDir()
 	w, _ := ByName("gcc2k")
 	want := Record(w.Build(artTestInsts), 0, 0)
 
-	s1, err := NewArtifactStore(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s1.Cursor(w.Name, artTestInsts); err != nil {
-		t.Fatal(err)
-	}
-	files, _ := filepath.Glob(filepath.Join(dir, "*.lvpt.gz"))
-	if len(files) != 1 {
-		t.Fatalf("cache dir holds %d artifacts, want 1", len(files))
-	}
+	// The disk tier holds uploaded traces: a registered external
+	// recording is persisted, and a later process reads it back.
+	t.Run("upload", func(t *testing.T) {
+		const ext = "ext:diskreuse"
+		if _, err := RegisterExternal(ext, want, true); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { UnregisterExternal(ext) })
+		dir := t.TempDir()
 
-	// A second store over the same directory (a later process) must
-	// load from disk, not regenerate.
-	s2, err := NewArtifactStore(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur, err := s2.Cursor(w.Name, artTestInsts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameStream(t, "disk cursor", drain(cur), want.Remaining())
-	if st := s2.Stats(); st.Generated != 0 || st.DiskHits != 1 {
-		t.Fatalf("second store stats: %+v", st)
-	}
+		s1, err := NewArtifactStore(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s1.Cursor(ext, artTestInsts); err != nil {
+			t.Fatal(err)
+		}
+		files, _ := filepath.Glob(filepath.Join(dir, "*"+artifactFileSuffix))
+		if len(files) != 1 {
+			t.Fatalf("cache dir holds %d artifacts, want 1", len(files))
+		}
 
-	// A corrupt cache file is regenerated over, not trusted.
-	if err := os.WriteFile(files[0], []byte("corrupt"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s3, _ := NewArtifactStore(dir, 0)
-	s3.SetLogger(slog.New(slog.NewTextHandler(io.Discard, nil)))
-	cur, err = s3.Cursor(w.Name, artTestInsts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameStream(t, "regenerated cursor", drain(cur), want.Remaining())
-	if st := s3.Stats(); st.Generated != 1 || st.DiskHits != 0 {
-		t.Fatalf("corrupt-file store stats: %+v", st)
-	}
+		// A second store over the same directory (a later process) must
+		// load from disk, not regenerate.
+		s2, err := NewArtifactStore(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur, err := s2.Cursor(ext, artTestInsts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameStream(t, "disk cursor", drain(cur), want.Remaining())
+		if st := s2.Stats(); st.Generated != 0 || st.DiskHits != 1 {
+			t.Fatalf("second store stats: %+v", st)
+		}
+
+		// A corrupt cache file is regenerated over, not trusted.
+		if err := os.WriteFile(files[0], []byte("corrupt"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s3, _ := NewArtifactStore(dir, 0)
+		s3.SetLogger(slog.New(slog.NewTextHandler(io.Discard, nil)))
+		cur, err = s3.Cursor(ext, artTestInsts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameStream(t, "regenerated cursor", drain(cur), want.Remaining())
+		if st := s3.Stats(); st.Generated != 1 || st.DiskHits != 0 {
+			t.Fatalf("corrupt-file store stats: %+v", st)
+		}
+	})
+
+	// Synthetic streams never touch the directory: neither a generated
+	// nor a received one is written, and a later process regenerates
+	// rather than read a synthetic artifact an older release left there.
+	t.Run("synthetic", func(t *testing.T) {
+		dir := t.TempDir()
+		s1, err := NewArtifactStore(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s1.Cursor(w.Name, artTestInsts); err != nil {
+			t.Fatal(err)
+		}
+		src, _ := NewArtifactStore("", 0)
+		key, data, err := src.Artifact("mcf", artTestInsts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s1.Put(key, data); err != nil {
+			t.Fatal(err)
+		}
+		if st := s1.Stats(); st.Generated != 1 || st.Received != 1 {
+			t.Fatalf("first store stats: %+v", st)
+		}
+		if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+			t.Fatalf("cache dir holds %d entries for synthetic streams, want 0", len(entries))
+		}
+
+		key = ArtifactKey(w.Name, artTestInsts)
+		f, err := os.Create(filepath.Join(dir, key+artifactFileSuffix))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := WriteArtifact(f, w.Name, artTestInsts, want.Cursor()); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s2, err := NewArtifactStore(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := s2.Export(key); ok {
+			t.Fatal("Export served a synthetic artifact from disk")
+		}
+		cur, err := s2.Cursor(w.Name, artTestInsts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameStream(t, "regenerated cursor", drain(cur), want.Remaining())
+		if st := s2.Stats(); st.Generated != 1 || st.DiskHits != 0 {
+			t.Fatalf("second store stats: %+v", st)
+		}
+	})
 }
 
 func TestArtifactStorePutExport(t *testing.T) {

@@ -21,8 +21,8 @@ var ErrOversize = errors.New("trace: artifact exceeds store budget")
 
 // DefaultArtifactBudget is the in-memory retention budget of an
 // ArtifactStore, in recorded instructions, when the caller passes 0. At
-// 24 bytes per recorded instruction this keeps resident recordings
-// under ~100 MB while holding dozens of sweep-sized traces.
+// 64 bytes per recorded instruction (one Inst) this keeps resident
+// recordings under ~256 MB while holding dozens of sweep-sized traces.
 const DefaultArtifactBudget = 4_000_000
 
 // ArtifactStats counts how an ArtifactStore satisfied Cursor and Put
@@ -31,13 +31,15 @@ type ArtifactStats struct {
 	// MemoryHits counts cursors served from a resident recording.
 	MemoryHits uint64
 	// DiskHits counts cursors whose recording was loaded from the
-	// store's cache directory.
+	// store's cache directory, which holds uploaded traces only.
 	DiskHits uint64
-	// Generated counts recordings produced by running the workload
-	// generator live — the expensive path every other counter avoids.
+	// Generated counts recordings produced by running the stream's
+	// generator: every miss on a synthetic stream, which is cheaper to
+	// regenerate than to decode, and an uploaded trace recorded at a
+	// budget the store held neither in memory nor on disk.
 	Generated uint64
-	// Received counts artifacts installed via Put (shipped by a
-	// coordinator or uploaded through the API).
+	// Received counts artifacts installed via Put or PutRecording
+	// (shipped by a coordinator or uploaded through the API).
 	Received uint64
 	// CorruptRegens counts disk cache files that failed to decode (or
 	// decoded to a different identity than their address) and were
@@ -57,12 +59,14 @@ type artifactRec struct {
 }
 
 // ArtifactStore is a content-addressed cache of recorded workload
-// streams. It layers three sources, cheapest first: resident
+// streams. It layers three sources, tried in order: resident
 // recordings (shared, handed out as independent cursors), a disk
 // directory of compressed artifacts keyed by content address, and live
-// generation from the named workload's builder. Generation is
-// singleflighted per address, so concurrent requests for the same spec
-// cost one run of the generator.
+// generation from the named workload's builder. Only streams that
+// cannot be regenerated (uploaded traces, see Regenerable) use the
+// disk tier; a synthetic stream is resident or regenerated.
+// Materialization is singleflighted per address, so concurrent
+// requests for the same spec cost one run of the generator.
 //
 // All methods are safe for concurrent use. Generation and disk I/O run
 // outside the store lock.
@@ -84,9 +88,11 @@ type ArtifactStore struct {
 
 // NewArtifactStore opens a store backed by dir (created if missing; ""
 // for a memory-only store). budgetInsts bounds resident recordings in
-// recorded instructions; 0 means DefaultArtifactBudget. Disk artifacts
-// are not budgeted — they are small (compressed) and shared across
-// processes, which is the point of having them.
+// recorded instructions; 0 means DefaultArtifactBudget. The directory
+// persists uploaded traces, which nothing else could rebuild after a
+// restart, and is not budgeted. Synthetic streams are never read from
+// or written to it: generating one is cheaper than decoding its
+// artifact, so after eviction or restart the store regenerates it.
 func NewArtifactStore(dir string, budgetInsts uint64) (*ArtifactStore, error) {
 	if budgetInsts == 0 {
 		budgetInsts = DefaultArtifactBudget
@@ -122,10 +128,11 @@ func (s *ArtifactStore) Stats() ArtifactStats {
 
 // Cursor returns a replay cursor over the recorded stream of the named
 // workload at the given budget, materializing the recording (from
-// memory, disk, or live generation, in that order) if needed. Each call
-// gets an independent position over the shared recording, so cursors
-// can replay concurrently. Requests larger than the store budget return
-// ErrOversize — callers fall back to the live generator.
+// memory, from disk for an uploaded trace, or by live generation, in
+// that order) if needed. Each call gets an independent position over
+// the shared recording, so cursors can replay concurrently. Requests
+// larger than the store budget return ErrOversize — callers fall back
+// to the live generator.
 func (s *ArtifactStore) Cursor(name string, insts uint64) (*Replay, error) {
 	rec, err := s.ensure(name, insts)
 	if err != nil {
@@ -136,13 +143,14 @@ func (s *ArtifactStore) Cursor(name string, insts uint64) (*Replay, error) {
 
 // Artifact returns the content address and encoded bytes of the named
 // workload's artifact, materializing the recording first if needed.
-// Used by coordinators to ship a trace to workers.
+// Coordinators use it to ship uploaded traces to workers, which cannot
+// regenerate them.
 func (s *ArtifactStore) Artifact(name string, insts uint64) (string, []byte, error) {
 	rec, err := s.ensure(name, insts)
 	if err != nil {
 		return "", nil, err
 	}
-	if s.dir != "" {
+	if s.persists(name) {
 		if data, err := os.ReadFile(s.path(rec.key)); err == nil {
 			return rec.key, data, nil
 		}
@@ -153,7 +161,9 @@ func (s *ArtifactStore) Artifact(name string, insts uint64) (string, []byte, err
 
 // Export returns the encoded bytes of the artifact stored under key,
 // if present in memory or on disk. Unlike Artifact it never generates:
-// a content address alone does not say which workload to run.
+// a content address alone does not say which workload to run. A
+// synthetic stream is therefore exported only while it is resident; a
+// synthetic artifact an older release left on disk is not served.
 func (s *ArtifactStore) Export(key string) ([]byte, bool) {
 	s.mu.Lock()
 	rec := s.recs[key]
@@ -165,7 +175,9 @@ func (s *ArtifactStore) Export(key string) ([]byte, bool) {
 	}
 	if s.dir != "" {
 		if data, err := os.ReadFile(s.path(key)); err == nil {
-			return data, true
+			if name, _, err := peekArtifact(bytes.NewReader(data)); err == nil && !Regenerable(name) {
+				return data, true
+			}
 		}
 	}
 	return nil, false
@@ -175,8 +187,8 @@ func (s *ArtifactStore) Export(key string) ([]byte, bool) {
 // that the content actually hashes to that address before accepting
 // it. The header is checked against the address and the store budget
 // before the stream is decoded, so a refused artifact costs no decode.
-// The recording becomes resident and, for disk-backed stores, is
-// persisted for later processes.
+// The recording becomes resident; an uploaded trace is also persisted
+// for later processes when the store is disk-backed.
 func (s *ArtifactStore) Put(key string, data []byte) error {
 	name, insts, err := peekArtifact(bytes.NewReader(data))
 	if err != nil {
@@ -192,7 +204,7 @@ func (s *ArtifactStore) Put(key string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	if s.dir != "" {
+	if s.persists(name) {
 		if err := s.persistBytes(key, data); err != nil {
 			return err
 		}
@@ -217,11 +229,10 @@ func (s *ArtifactStore) Put(key string, data []byte) error {
 }
 
 // PutRecording installs an in-memory recording as the artifact of the
-// named workload at its full recorded length, persisting it for
-// disk-backed stores, and returns its content address. This is the
-// upload path: a daemon that converted an external trace registers the
-// recording here so later sweeps find it resident and restarts recover
-// it from disk.
+// named workload at its full recorded length, persisting it like Put
+// does, and returns its content address. This is the upload path: a
+// daemon that converted an external trace registers the recording here
+// so later sweeps find it resident and restarts recover it from disk.
 func (s *ArtifactStore) PutRecording(name string, rep *Replay) (string, error) {
 	insts := uint64(rep.Len())
 	if insts == 0 {
@@ -231,7 +242,7 @@ func (s *ArtifactStore) PutRecording(name string, rep *Replay) (string, error) {
 		return "", fmt.Errorf("%w (%d insts > budget %d)", ErrOversize, insts, s.budget)
 	}
 	key := ArtifactKey(name, insts)
-	if s.dir != "" {
+	if s.persists(name) {
 		data, err := encodeArtifact(name, insts, rep)
 		if err != nil {
 			return "", err
@@ -341,13 +352,14 @@ func (s *ArtifactStore) ensure(name string, insts uint64) (*artifactRec, error) 
 	}
 }
 
-// load materializes a recording outside the store lock: from the cache
-// directory when a valid artifact exists there, otherwise by running
-// the workload generator. Freshly generated recordings are persisted
-// best-effort — a full disk must not fail the run the recording was
-// materialized for.
+// load materializes a recording outside the store lock: for an
+// uploaded trace from the cache directory when a valid artifact exists
+// there, otherwise by running the stream's generator. Freshly
+// generated uploads are persisted best-effort — a full disk must not
+// fail the run the recording was materialized for.
 func (s *ArtifactStore) load(key, name string, insts uint64) (rec *artifactRec, fromDisk bool, err error) {
-	if s.dir != "" {
+	persist := s.persists(name)
+	if persist {
 		if f, err := os.Open(s.path(key)); err == nil {
 			gotName, gotInsts, rep, err := ReadArtifact(f)
 			f.Close()
@@ -374,12 +386,19 @@ func (s *ArtifactStore) load(key, name string, insts uint64) (rec *artifactRec, 
 	}
 	rep := Record(gen, 0, insts)
 	rec = &artifactRec{key: key, name: name, insts: insts, rep: rep}
-	if s.dir != "" {
+	if persist {
 		if data, err := encodeArtifact(name, insts, rep); err == nil {
 			_ = s.persistBytes(key, data)
 		}
 	}
 	return rec, false, nil
+}
+
+// persists reports whether the stream's artifact belongs in the cache
+// directory: the store is disk-backed and the stream cannot be
+// regenerated.
+func (s *ArtifactStore) persists(stream string) bool {
+	return s.dir != "" && !Regenerable(stream)
 }
 
 // install makes rec resident and evicts least-recently-used recordings

@@ -250,7 +250,14 @@ func TestArtifactStoreCorruptRegen(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.SetLogger(quiet)
-	const name, insts = "gcc2k", 2_000
+	// Only uploaded traces are persisted, so the corrupt-file path is an
+	// external recording's.
+	const name, insts = "ext:corrupt", 2_000
+	w, _ := ByName("gcc2k")
+	if _, err := RegisterExternal(name, Record(w.Build(insts), 0, 0), true); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { UnregisterExternal(name) })
 	if _, err := s.Cursor(name, insts); err != nil {
 		t.Fatal(err)
 	}

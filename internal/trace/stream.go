@@ -66,3 +66,15 @@ func BuildStream(stream string, n uint64) (Generator, bool) {
 	}
 	return buildProfile(w.Name, w.Profile, salt, n), true
 }
+
+// Regenerable reports whether a stream can be rebuilt from its name
+// alone: true for every synthetic stream, salted or not, and false for
+// uploaded "ext:" traces, whose recording exists nowhere but in the
+// processes that received it. Generating a synthetic stream is cheaper
+// than decoding its artifact (DESIGN.md §13.1), so the artifact store
+// keeps regenerable streams in memory only and coordinators pre-ship
+// only the streams this reports false for.
+func Regenerable(stream string) bool {
+	name, _ := SplitStreamName(stream)
+	return !IsExternalName(name)
+}
