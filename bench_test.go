@@ -109,7 +109,7 @@ func BenchmarkWindowSweep(b *testing.B) { benchExperiment(b, "windowsweep") }
 // Microbenchmarks: raw throughput of the building blocks, useful when
 // optimizing the simulator itself.
 
-// The two pipeline microbenchmarks measure the simulator's steady
+// The pipeline microbenchmarks measure the simulator's steady
 // state, which is how every real consumer runs it: the experiment
 // harness and the daemon both reuse pooled pipelines across many runs,
 // so trace generation and predictor construction are one-time costs,
@@ -164,6 +164,30 @@ func BenchmarkPipelineComposite(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rep.Rewind()
 		comp.ResetState()
+		p.Reset(cfg, eng)
+		if r := p.Run(rep, "gcc2k", "bench"); r.Instructions != benchPipelineInsts {
+			b.Fatalf("short run: %+v", r)
+		}
+	}
+}
+
+// BenchmarkPipelineEVES measures simulation throughput with EVES at
+// its 32KB comparison point: the other half of the sim-vp benchmark
+// workload, over the same pooled recording as the composite.
+func BenchmarkPipelineEVES(b *testing.B) {
+	w, _ := trace.ByName("gcc2k")
+	rep := trace.Record(w.Build(benchPipelineInsts), 0, 0)
+	eng := eves.New(eves.Config{BudgetKB: 32, Seed: 1})
+	cfg := cpu.DefaultConfig()
+	p := cpu.Acquire(cfg, eng)
+	defer cpu.Release(p)
+	b.SetBytes(benchPipelineInsts)
+	b.ReportAllocs()
+	p.Run(rep, "gcc2k", "bench") // warmup: clone the memory image outside the measurement
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep.Rewind()
+		eng.ResetState()
 		p.Reset(cfg, eng)
 		if r := p.Run(rep, "gcc2k", "bench"); r.Instructions != benchPipelineInsts {
 			b.Fatalf("short run: %+v", r)
@@ -255,33 +279,43 @@ func BenchmarkPipelineSMT4(b *testing.B) {
 
 // TestReplayedPooledRunMatchesFresh guards the benchmark methodology:
 // the steady-state path the pipeline benchmarks measure (recorded
-// trace + pooled pipeline) must produce bit-identical results to the
-// fresh-everything path, or the benchmarks would be timing a different
-// simulation.
+// trace + pooled pipeline + predictor state cleared in place) must
+// produce bit-identical results to the fresh-everything path, or the
+// benchmarks would be timing a different simulation.
 func TestReplayedPooledRunMatchesFresh(t *testing.T) {
-	w, _ := trace.ByName("gcc2k")
-	mkEng := func() (cpu.Engine, *core.Composite) {
-		c := core.NewComposite(core.CompositeConfig{
-			Entries: core.HomogeneousEntries(256), Seed: 1, AM: core.NewPCAM(64),
-		})
-		return cpu.NewCompositeEngine(c), c
+	// Each maker returns a fresh engine and the function that clears
+	// its predictor state in place.
+	engines := map[string]func() (cpu.Engine, func()){
+		"composite": func() (cpu.Engine, func()) {
+			c := core.NewComposite(core.CompositeConfig{
+				Entries: core.HomogeneousEntries(256), Seed: 1, AM: core.NewPCAM(64),
+			})
+			return cpu.NewCompositeEngine(c), c.ResetState
+		},
+		"eves": func() (cpu.Engine, func()) {
+			e := eves.New(eves.Config{BudgetKB: 32, Seed: 1})
+			return e, e.ResetState
+		},
 	}
+	w, _ := trace.ByName("gcc2k")
 	const n = 20_000
-	freshEng, _ := mkEng()
-	fresh := cpu.New(cpu.DefaultConfig(), freshEng).Run(w.Build(n), "gcc2k", "bench")
+	for name, mk := range engines {
+		freshEng, _ := mk()
+		fresh := cpu.New(cpu.DefaultConfig(), freshEng).Run(w.Build(n), "gcc2k", "bench")
 
-	rep := trace.Record(w.Build(n), 0, 0)
-	cfg := cpu.DefaultConfig()
-	eng, comp := mkEng()
-	p := cpu.Acquire(cfg, eng)
-	defer cpu.Release(p)
-	for i := 0; i < 3; i++ {
-		rep.Rewind()
-		comp.ResetState()
-		p.Reset(cfg, eng)
-		if got := p.Run(rep, "gcc2k", "bench"); got != fresh {
-			t.Fatalf("iteration %d diverged from the fresh run:\n got: %+v\nwant: %+v", i, got, fresh)
+		rep := trace.Record(w.Build(n), 0, 0)
+		cfg := cpu.DefaultConfig()
+		eng, reset := mk()
+		p := cpu.Acquire(cfg, eng)
+		for i := 0; i < 3; i++ {
+			rep.Rewind()
+			reset()
+			p.Reset(cfg, eng)
+			if got := p.Run(rep, "gcc2k", "bench"); got != fresh {
+				t.Fatalf("%s: iteration %d diverged from the fresh run:\n got: %+v\nwant: %+v", name, i, got, fresh)
+			}
 		}
+		cpu.Release(p)
 	}
 }
 

@@ -478,12 +478,3 @@ func (s *CompositeStats) Accuracy() float64 {
 	}
 	return 1 - float64(s.UsedMispredictions)/float64(s.UsedPredictions)
 }
-
-// FusionEventsOf reports how many times table fusion engaged in c's
-// lifetime (zero when fusion is disabled).
-func FusionEventsOf(c *Composite) int {
-	if c.fuse == nil {
-		return 0
-	}
-	return c.fuse.FusionEvents
-}

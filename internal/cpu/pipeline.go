@@ -85,37 +85,50 @@ type pendingTrain struct {
 // pipeline flushes the batched Instret count to the engine.
 const instretEvery = 4096
 
-// trainQueue is a FIFO of pending trainings in program order.
+// trainQueue is a FIFO of pending trainings in program order. Records
+// are filled and drained in place — push hands out the new slot, front
+// the oldest — so the per-load path never copies a record.
 type trainQueue struct {
 	q    []pendingTrain
 	head int
 }
 
-func (t *trainQueue) push(p pendingTrain) {
-	// In-order application: a training never becomes visible before an
-	// older one, so carry the running maximum completion cycle.
-	if n := len(t.q); n > t.head && t.q[n-1].trainC > p.trainC {
-		p.trainC = t.q[n-1].trainC
+// push appends a training that completes at trainC and returns its
+// slot, which still holds a drained record's fields: the caller sets
+// every field but trainC. In-order application: a training never
+// becomes visible before an older one, so the slot carries the running
+// maximum completion cycle.
+func (t *trainQueue) push(trainC uint64) *pendingTrain {
+	n := len(t.q)
+	if n > t.head && t.q[n-1].trainC > trainC {
+		trainC = t.q[n-1].trainC
 	}
-	t.q = append(t.q, p)
+	if n < cap(t.q) {
+		t.q = t.q[:n+1]
+	} else {
+		t.q = append(t.q, pendingTrain{})
+	}
+	p := &t.q[n]
+	p.trainC = trainC
+	return p
 }
 
-func (t *trainQueue) peek() (pendingTrain, bool) {
+// front returns the oldest queued training, or nil when none is
+// queued. The record stays valid until the next push.
+func (t *trainQueue) front() *pendingTrain {
 	if t.head >= len(t.q) {
-		return pendingTrain{}, false
+		return nil
 	}
-	return t.q[t.head], true
+	return &t.q[t.head]
 }
 
-func (t *trainQueue) pop() pendingTrain {
-	p := t.q[t.head]
-	t.q[t.head] = pendingTrain{}
+// drop removes the oldest queued training.
+func (t *trainQueue) drop() {
 	t.head++
 	if t.head == len(t.q) {
 		t.q = t.q[:0]
 		t.head = 0
 	}
-	return p
 }
 
 // ctxAddrShift positions a hardware context's address-space tag above
@@ -970,21 +983,17 @@ func (p *Pipeline) step(s *ctxSlice, seq uint64, in *trace.Inst) uint64 {
 
 	// ---- Train the value predictor at execute ----
 	if isPredictableLoad {
-		s.pending.push(pendingTrain{
-			trainC: execDone,
-			outcome: core.Outcome{
-				PC:         in.PC,
-				BranchHist: probe.BranchHist,
-				LoadPath:   probe.LoadPath,
-				Addr:       in.Addr,
-				Size:       in.Size,
-				Value:      in.Value,
-			},
-			rec:     rec,
-			probeC:  probeC,
-			specSeq: seq,
-			fcAt:    fc,
-		})
+		t := s.pending.push(execDone)
+		t.outcome.PC = in.PC
+		t.outcome.BranchHist = probe.BranchHist
+		t.outcome.LoadPath = probe.LoadPath
+		t.outcome.Addr = in.Addr
+		t.outcome.Size = in.Size
+		t.outcome.Value = in.Value
+		t.rec = rec
+		t.probeC = probeC
+		t.specSeq = seq
+		t.fcAt = fc
 	}
 
 	// ---- Commit (in order, width-limited) ----
@@ -1093,7 +1102,7 @@ func (p *Pipeline) executeLoad(s *ctxSlice, seq uint64, in *trace.Inst, issueC u
 // FIFO order and each probeC is >= its own fetch cycle).
 func (p *Pipeline) storeFloor(s *ctxSlice) uint64 {
 	floor := s.fetchCycle
-	if t, ok := s.pending.peek(); ok && t.fcAt < floor {
+	if t := s.pending.front(); t != nil && t.fcAt < floor {
 		floor = t.fcAt
 	}
 	return floor
@@ -1181,15 +1190,16 @@ func (p *Pipeline) predictBranch(s *ctxSlice, in *trace.Inst) bool {
 // prediction-to-update latency model.
 func (p *Pipeline) applyTrains(s *ctxSlice, c uint64) {
 	for {
-		t, ok := s.pending.peek()
-		if !ok || t.trainC > c {
+		t := s.pending.front()
+		if t == nil || t.trainC > c {
 			return
 		}
-		p.trainOne(s, s.pending.pop())
+		p.trainOne(s, t)
+		s.pending.drop()
 	}
 }
 
-func (p *Pipeline) trainOne(s *ctxSlice, t pendingTrain) {
+func (p *Pipeline) trainOne(s *ctxSlice, t *pendingTrain) {
 	s.inflight.dec(t.outcome.PC)
 	p.cur = s
 	s.trainSeq, s.trainProbeC = t.specSeq, t.probeC

@@ -56,7 +56,7 @@ type refPipeline struct {
 	lsUse   map[uint64]int
 	paqUse  map[uint64]int
 
-	pending    trainQueue
+	pending    refTrainQueue
 	paqQueue   []uint64
 	paqHead    int
 	inflightPC map[uint64]int
@@ -550,4 +550,38 @@ func (p *refPipeline) prune() {
 			delete(p.lineFill, line)
 		}
 	}
+}
+
+// refTrainQueue is the by-value training FIFO the pipeline used before
+// trainQueue began filling and draining its records in place.
+type refTrainQueue struct {
+	q    []pendingTrain
+	head int
+}
+
+func (t *refTrainQueue) push(p pendingTrain) {
+	// In-order application: a training never becomes visible before an
+	// older one, so carry the running maximum completion cycle.
+	if n := len(t.q); n > t.head && t.q[n-1].trainC > p.trainC {
+		p.trainC = t.q[n-1].trainC
+	}
+	t.q = append(t.q, p)
+}
+
+func (t *refTrainQueue) peek() (pendingTrain, bool) {
+	if t.head >= len(t.q) {
+		return pendingTrain{}, false
+	}
+	return t.q[t.head], true
+}
+
+func (t *refTrainQueue) pop() pendingTrain {
+	p := t.q[t.head]
+	t.q[t.head] = pendingTrain{}
+	t.head++
+	if t.head == len(t.q) {
+		t.q = t.q[:0]
+		t.head = 0
+	}
+	return p
 }

@@ -62,10 +62,22 @@ func vpsecRun(w trace.Workload, insts, seed uint64, rate uint32) vpsec.Stats {
 		Entries: core.HomogeneousEntries(256),
 		Seed:    core.SplitMix64(seed ^ hashName(w.Name)),
 	})
+	return vpsecDrive(comp, w.Build(insts), insts, seed, rate)
+}
+
+// vpsecPredictor is the part of the composite vpsecDrive uses.
+type vpsecPredictor interface {
+	Probe(p core.Probe) core.Lookup
+	Train(o core.Outcome, lk *core.Lookup, v core.Validation)
+}
+
+// vpsecDrive runs gen's loads through comp and the detector. Each load
+// trains with the snapshot it was probed with (core.Probe's contract),
+// so the load path advances past a load only after its training.
+func vpsecDrive(comp vpsecPredictor, gen trace.Generator, insts, seed uint64, rate uint32) vpsec.Stats {
 	det := vpsec.New(vpsec.DefaultConfig())
 	inj := vpsec.NewInjector(rate, seed^0xFA017)
 
-	gen := w.Build(insts)
 	mem := gen.Mem()
 	resolve := func(addr uint64, size uint8) (uint64, bool) {
 		return mem.Read(addr, size), true
@@ -88,7 +100,6 @@ func vpsecRun(w trace.Workload, insts, seed uint64, rate uint32) vpsec.Stats {
 			continue
 		}
 		lk := comp.Probe(core.Probe{PC: in.PC, BranchHist: hist, LoadPath: loadPath})
-		loadPath = (loadPath << 6) ^ ((in.PC >> 2) & 0xFFF)
 		observed, injected := inj.Corrupt(in.Value)
 		if n > warmup {
 			det.Record(det.Check(&lk, observed, in.Size, resolve), injected, in.Value)
@@ -98,6 +109,7 @@ func vpsecRun(w trace.Workload, insts, seed uint64, rate uint32) vpsec.Stats {
 			Addr: in.Addr, Size: in.Size, Value: in.Value,
 		}
 		comp.Train(o, &lk, core.Validate(&lk, o, resolve))
+		loadPath = (loadPath << 6) ^ ((in.PC >> 2) & 0xFFF)
 	}
 	return det.Stats()
 }

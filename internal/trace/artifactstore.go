@@ -21,8 +21,8 @@ var ErrOversize = errors.New("trace: artifact exceeds store budget")
 
 // DefaultArtifactBudget is the in-memory retention budget of an
 // ArtifactStore, in recorded instructions, when the caller passes 0. At
-// 64 bytes per recorded instruction (one Inst) this keeps resident
-// recordings under ~256 MB while holding dozens of sweep-sized traces.
+// 40 bytes per recorded instruction (one Inst) this keeps resident
+// recordings under ~160 MB while holding dozens of sweep-sized traces.
 const DefaultArtifactBudget = 4_000_000
 
 // ArtifactStats counts how an ArtifactStore satisfied Cursor and Put

@@ -80,24 +80,31 @@ const NumRegs = 32
 // outcome (addresses, values, branch directions — the trace is the
 // correct execution) and the dependence information the timing model
 // needs.
+//
+// The four 8-byte words come first and the eight 1-byte fields follow,
+// so an Inst packs into 40 bytes with no padding; interleaving them
+// cost 64. Recordings hold millions of Insts, so keep new fields in
+// this order (TestInstSize pins the size). The codecs write fields by
+// name, so the order is not part of any format.
 type Inst struct {
-	PC   uint64
-	Op   Op
-	Dst  Reg // 0 = none
-	Src1 Reg // 0 = none
-	Src2 Reg // 0 = none
+	PC uint64
 
-	// Addr/Size/Value describe memory operations: for loads, Value is
-	// the (architecturally correct) loaded value; for stores, the value
-	// written.
+	// Addr, Value and Size describe memory operations: for loads, Value
+	// is the (architecturally correct) loaded value; for stores, the
+	// value written.
 	Addr  uint64
-	Size  uint8
 	Value uint64
 
-	// Taken and Target describe control flow. Target is meaningful for
+	// Target and Taken describe control flow. Target is meaningful for
 	// taken branches, jumps, calls, indirect branches and returns.
-	Taken  bool
 	Target uint64
+
+	Op    Op
+	Dst   Reg   // 0 = none
+	Src1  Reg   // 0 = none
+	Src2  Reg   // 0 = none
+	Size  uint8 // memory access size in bytes
+	Taken bool  // branch direction
 
 	// Lat is the intrinsic execute latency in cycles for non-memory
 	// ops (1 for simple ALU, more for multiply/divide).

@@ -22,7 +22,7 @@ type Replay struct {
 // maxHintAhead bounds how far Record's size hint may run ahead of the
 // instructions actually recorded: the first allocation, made when the
 // first instruction arrives, holds at most this many instructions
-// (8 MiB), and each later one at most doubles what was really
+// (5 MiB), and each later one at most doubles what was really
 // recorded. A hint read from untrusted input, such as an artifact
 // header, therefore cannot reserve memory its stream never fills.
 const maxHintAhead = 1 << 17

@@ -2,9 +2,19 @@ package trace
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/mem"
 )
+
+// TestInstSize pins Inst's packed layout: four 8-byte words, then eight
+// 1-byte fields, no padding. Recordings and the artifact store's
+// budget scale with it.
+func TestInstSize(t *testing.T) {
+	if got := unsafe.Sizeof(Inst{}); got != 40 {
+		t.Errorf("unsafe.Sizeof(Inst{}) = %d, want 40: keep the 8-byte fields first", got)
+	}
+}
 
 func TestWorkloadCount(t *testing.T) {
 	if got := len(Workloads()); got != 85 {

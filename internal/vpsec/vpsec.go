@@ -7,10 +7,11 @@
 //
 // The detector consumes the composite predictor's per-load Lookup: if
 // at least Quorum confident value predictions agree with each other but
-// disagree with the loaded value, the load is flagged as faulted and
-// the agreed value offered as the correction. Address predictions
-// resolve through the cache probe, so a fault on the load's datapath
-// (not the cache array) leaves them usable as independent witnesses.
+// disagree with the loaded value, and outnumber the predictions that
+// agree with it, the load is flagged as faulted and the agreed value
+// offered as the correction. Address predictions resolve through the
+// cache probe, so a fault on the load's datapath (not the cache array)
+// leaves them usable as independent witnesses.
 package vpsec
 
 import "repro/internal/core"
@@ -89,32 +90,54 @@ func (d *Detector) Check(lk *core.Lookup, observed uint64, size uint8, resolve c
 	if lk == nil {
 		return Verdict{}
 	}
-	// Collect the speculative values of every confident component.
-	votes := map[uint64]int{}
+	// Tally the speculative values of every confident component, in
+	// component order, so that ties break the same way on every run.
+	var vals [core.NumComponents]uint64
+	var counts [core.NumComponents]int
+	nv := 0
 	for comp := core.Component(0); comp < core.NumComponents; comp++ {
 		if !lk.Confident.Has(comp) {
 			continue
 		}
 		pr := lk.Preds[comp]
+		var v uint64
 		switch pr.Kind {
 		case core.KindValue:
-			votes[pr.Value]++
+			v = pr.Value
 		case core.KindAddress:
 			if resolve == nil {
 				continue
 			}
-			if v, ok := resolve(pr.Addr, size); ok {
-				votes[v]++
+			var ok bool
+			if v, ok = resolve(pr.Addr, size); !ok {
+				continue
 			}
+		default:
+			continue
+		}
+		i := 0
+		for i < nv && vals[i] != v {
+			i++
+		}
+		if i == nv {
+			vals[nv] = v
+			nv++
+		}
+		counts[i]++
+	}
+	// The loaded value wins a tie: a quorum that agrees with it
+	// corroborates it. A tie between two other values goes to the one
+	// voted first.
+	observedVotes, best, n := 0, uint64(0), 0
+	for i := 0; i < nv; i++ {
+		switch {
+		case vals[i] == observed:
+			observedVotes = counts[i]
+		case counts[i] > n:
+			best, n = vals[i], counts[i]
 		}
 	}
-	best, n := uint64(0), 0
-	for v, c := range votes {
-		if c > n {
-			best, n = v, c
-		}
-	}
-	if n >= d.cfg.Quorum && best != observed {
+	if n >= d.cfg.Quorum && n > observedVotes {
 		return Verdict{Faulted: true, Corrected: best, Witnesses: n}
 	}
 	return Verdict{}

@@ -65,6 +65,31 @@ func TestDisagreeingWitnessesNoQuorum(t *testing.T) {
 	}
 }
 
+// TestTiedQuorumsDeterministic pins how two equal quorums are settled:
+// one that agrees with the loaded value corroborates it, and between two
+// others the value voted first (in component order) is the correction.
+// The verdict must not vary from call to call.
+func TestTiedQuorumsDeterministic(t *testing.T) {
+	d := New(DefaultConfig())
+	lk := lookupWith(map[core.Component]core.Prediction{
+		core.CompLVP: val(100),
+		core.CompSAP: addr(0x1000),
+		core.CompCVP: val(100),
+		core.CompCAP: addr(0x1000),
+	})
+	resolve := func(a uint64, size uint8) (uint64, bool) { return 777, true }
+	for i := 0; i < 64; i++ {
+		for _, observed := range []uint64{100, 777} {
+			if v := d.Check(lk, observed, 8, resolve); v.Faulted {
+				t.Fatalf("call %d: a quorum agreeing with the loaded value %d was overruled: %+v", i, observed, v)
+			}
+		}
+		if v := d.Check(lk, 5, 8, resolve); !v.Faulted || v.Corrected != 100 || v.Witnesses != 2 {
+			t.Fatalf("call %d: verdict %+v, want faulted with correction 100 (LVP votes first)", i, v)
+		}
+	}
+}
+
 func TestAddressWitnessesVoteThroughCache(t *testing.T) {
 	d := New(DefaultConfig())
 	lk := lookupWith(map[core.Component]core.Prediction{
