@@ -63,7 +63,6 @@ func main() {
 		jobTimeout   = flag.Duration("job-timeout", 2*time.Minute, "default per-job simulation deadline")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown drain deadline")
 		maxSweepPts  = flag.Int("max-sweep-points", 0, "sweep expansion cap (0 = mode default)")
-		logJSON      = flag.Bool("log-json", false, "emit logs as JSON (deprecated: use -log-format=json)")
 		logFormat    = flag.String("log-format", "text", "log output format: text or json")
 		logLevel     = flag.String("log-level", "info", "minimum log level: debug, info, warn, or error")
 
@@ -95,7 +94,7 @@ func main() {
 	)
 	flag.Parse()
 
-	log, err := buildLogger(*logFormat, *logLevel, *logJSON)
+	log, err := buildLogger(*logFormat, *logLevel)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -238,9 +237,8 @@ func main() {
 
 // buildLogger assembles the process logger: text or JSON at the chosen
 // level, wrapped with trace correlation so every line logged under a
-// traced request carries trace_id/span_id. The deprecated -log-json
-// flag still forces JSON.
-func buildLogger(format, level string, forceJSON bool) (*slog.Logger, error) {
+// traced request carries trace_id/span_id.
+func buildLogger(format, level string) (*slog.Logger, error) {
 	var lvl slog.Level
 	switch strings.ToLower(level) {
 	case "debug":
@@ -261,9 +259,6 @@ func buildLogger(format, level string, forceJSON bool) (*slog.Logger, error) {
 		handler = slog.NewJSONHandler(os.Stderr, opts)
 	case "text", "":
 		handler = slog.NewTextHandler(os.Stderr, opts)
-		if forceJSON {
-			handler = slog.NewJSONHandler(os.Stderr, opts)
-		}
 	default:
 		return nil, fmt.Errorf("lvpd: -log-format must be text or json, got %q", format)
 	}

@@ -61,26 +61,16 @@ func (c *Coordinator) routes() {
 	c.HandleFunc("GET /debug/traces/{id}", c.handleMergedTrace)
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
 func (c *Coordinator) handleRegisterWorker(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad register body: %v", err)
+		server.WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad register body: %v", err))
 		return
 	}
 	if req.URL == "" {
-		writeError(w, http.StatusBadRequest, "register body needs a url field")
+		server.WriteError(w, http.StatusBadRequest, "register body needs a url field")
 		return
 	}
 	st, created, err := c.RegisterWorker(r.Context(), req.URL)
@@ -91,9 +81,9 @@ func (c *Coordinator) handleRegisterWorker(w http.ResponseWriter, r *http.Reques
 			probeFailed = true
 		}
 		if probeFailed || errors.Is(err, context.DeadlineExceeded) {
-			writeError(w, http.StatusBadGateway, "%v", err)
+			server.WriteError(w, http.StatusBadGateway, err.Error())
 		} else {
-			writeError(w, http.StatusBadRequest, "%v", err)
+			server.WriteError(w, http.StatusBadRequest, err.Error())
 		}
 		return
 	}
@@ -101,20 +91,20 @@ func (c *Coordinator) handleRegisterWorker(w http.ResponseWriter, r *http.Reques
 	if created {
 		code = http.StatusCreated
 	}
-	writeJSON(w, code, st)
+	server.WriteJSON(w, code, st)
 }
 
 func (c *Coordinator) handleListWorkers(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"workers": c.Workers()})
+	server.WriteJSON(w, http.StatusOK, map[string]any{"workers": c.Workers()})
 }
 
 func (c *Coordinator) handleDrainWorker(w http.ResponseWriter, r *http.Request) {
 	st, ok := c.DrainWorker(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "no worker %q", r.PathValue("id"))
+		server.WriteError(w, http.StatusNotFound, fmt.Sprintf("no worker %q", r.PathValue("id")))
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	server.WriteJSON(w, http.StatusOK, st)
 }
 
 func (c *Coordinator) handleStartSweep(w http.ResponseWriter, r *http.Request) {
@@ -122,18 +112,18 @@ func (c *Coordinator) handleStartSweep(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad sweep body: %v", err)
+		server.WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad sweep body: %v", err))
 		return
 	}
 	st, err := c.StartSweep(r.Context(), req)
 	if err != nil {
 		switch {
 		case !c.accepting.Load():
-			writeError(w, http.StatusServiceUnavailable, "%v", err)
+			server.WriteError(w, http.StatusServiceUnavailable, err.Error())
 		case errors.Is(err, errDurability):
-			writeError(w, http.StatusInternalServerError, "%v", err)
+			server.WriteError(w, http.StatusInternalServerError, err.Error())
 		default:
-			writeError(w, http.StatusBadRequest, "%v", err)
+			server.WriteError(w, http.StatusBadRequest, err.Error())
 		}
 		return
 	}
@@ -141,20 +131,20 @@ func (c *Coordinator) handleStartSweep(w http.ResponseWriter, r *http.Request) {
 	if st.State == "done" { // every point cached at submit
 		code = http.StatusOK
 	}
-	writeJSON(w, code, st)
+	server.WriteJSON(w, code, st)
 }
 
 func (c *Coordinator) handleListSweeps(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"sweeps": c.SweepStatuses()})
+	server.WriteJSON(w, http.StatusOK, map[string]any{"sweeps": c.SweepStatuses()})
 }
 
 func (c *Coordinator) handleSweepStatus(w http.ResponseWriter, r *http.Request) {
 	st, ok := c.SweepStatusByID(r.PathValue("id"), true)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no sweep %q", r.PathValue("id"))
+		server.WriteError(w, http.StatusNotFound, fmt.Sprintf("no sweep %q", r.PathValue("id")))
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	server.WriteJSON(w, http.StatusOK, st)
 }
 
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -175,7 +165,7 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	c.mu.Unlock()
 	h.PointsInflight = c.mInflight.Value()
-	writeJSON(w, http.StatusOK, h)
+	server.WriteJSON(w, http.StatusOK, h)
 }
 
 // handleReadyz reports whether the coordinator can usefully accept a
@@ -183,7 +173,7 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // active. Liveness stays on /healthz, which answers 200 regardless.
 func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if !c.accepting.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		server.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
 	c.mu.Lock()
@@ -195,12 +185,12 @@ func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 	c.mu.Unlock()
 	if active == 0 {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+		server.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"status": "no active workers", "active_workers": 0,
 		})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ready", "active_workers": active})
+	server.WriteJSON(w, http.StatusOK, map[string]any{"status": "ready", "active_workers": active})
 }
 
 // handleMergedTrace serves one trace as Chrome trace-event JSON with
@@ -237,7 +227,7 @@ func (c *Coordinator) handleMergedTrace(w http.ResponseWriter, r *http.Request) 
 	}
 
 	if len(events) == 0 {
-		writeError(w, http.StatusNotFound, "no trace %q", id)
+		server.WriteError(w, http.StatusNotFound, fmt.Sprintf("no trace %q", id))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -53,7 +53,6 @@ func (c *Coordinator) runPoint(sw *sweep, pt *point) {
 		res, err := c.attemptOnce(sw, att, pt)
 		stolen := c.releaseAttempt(att)
 		if err == nil {
-			c.Cache().Put(pt.hash, res)
 			c.settlePoint(sw, pt, &res, "")
 			return
 		}
@@ -285,16 +284,25 @@ func (c *Coordinator) notePointRunning(sw *sweep, pt *point, w *worker) {
 	pt.attempts++
 }
 
-// settlePoint finalizes a point as done (res != nil) or failed, and
-// records the settlement durably.
+// settlePoint finalizes a point as done (res != nil) or failed, in
+// the worker daemon's settle order: write what clients read (the cache
+// entry and the warehouse row), observe, publish the point's state,
+// then append its WAL records. A reader that sees the sweep done finds
+// every done point's row.
 func (c *Coordinator) settlePoint(sw *sweep, pt *point, res *server.RunResult, errMsg string) {
-	done := c.markSettled(sw, pt, res, errMsg)
-	c.persistPoint(sw, pt, res, errMsg, done)
 	if res != nil {
+		c.Cache().Put(pt.hash, *res)
+		if c.Store() != nil {
+			if err := c.warehousePut(sw, pt, res); err != nil {
+				c.log.Error("warehouse put failed", "sweep", sw.id, "spec", pt.hash, "err", err)
+			}
+		}
 		if ctr := c.mTenantPoints[sw.tenant]; ctr != nil {
 			ctr.Inc()
 		}
 	}
+	done := c.markSettled(sw, pt, res, errMsg)
+	c.persistPoint(sw, pt, res, errMsg, done)
 }
 
 // abandonPoint finalizes a point the shutdown cancelled WITHOUT
@@ -303,9 +311,15 @@ func (c *Coordinator) abandonPoint(sw *sweep, pt *point, errMsg string) {
 	c.markSettled(sw, pt, nil, errMsg)
 }
 
-// markSettled applies a point's terminal transition to the in-memory
-// sweep state and reports whether it was the sweep's last open point.
+// markSettled counts a point's terminal transition, publishes it to
+// the in-memory sweep state, and reports whether it was the sweep's
+// last open point.
 func (c *Coordinator) markSettled(sw *sweep, pt *point, res *server.RunResult, errMsg string) bool {
+	if res != nil {
+		c.mPtsDone.Inc()
+	} else {
+		c.mPtsFailed.Inc()
+	}
 	c.mu.Lock()
 	pt.finished = time.Now()
 	pt.progress = nil
@@ -324,10 +338,7 @@ func (c *Coordinator) markSettled(sw *sweep, pt *point, res *server.RunResult, e
 		sw.span.Finish()
 	}
 
-	if res != nil {
-		c.mPtsDone.Inc()
-	} else {
-		c.mPtsFailed.Inc()
+	if res == nil {
 		c.log.Warn("point failed", "sweep", sw.id, "spec", pt.hash, "err", errMsg)
 	}
 	if done {

@@ -19,8 +19,10 @@ var errDurability = errors.New("durable store write failed")
 // persistSweepStarted records an accepted sweep and its unique points
 // durably; points already answered from the cache at submit are
 // settled in the same breath so a restart does not re-dispatch them.
-// No-op without a data dir. The sweep is not yet published, so its
-// fields are safe to read without the mutex.
+// Their rows are already in the warehouse (every cache entry was put
+// there at settle or promoted from it), so none is rewritten. No-op
+// without a data dir. The sweep is not yet published, so its fields
+// are safe to read without the mutex.
 func (c *Coordinator) persistSweepStarted(sw *sweep) error {
 	if c.Store() == nil {
 		return nil
@@ -40,9 +42,6 @@ func (c *Coordinator) persistSweepStarted(sw *sweep) error {
 		if pt.state != PointDone {
 			continue
 		}
-		if err := c.warehousePut(sw, pt); err != nil {
-			c.log.Error("warehouse put failed", "sweep", sw.id, "spec", pt.hash, "err", err)
-		}
 		if err := c.Store().AppendPointDone(sw.id, pt.hash); err != nil {
 			return err
 		}
@@ -50,19 +49,17 @@ func (c *Coordinator) persistSweepStarted(sw *sweep) error {
 	return nil
 }
 
-// persistPoint records one point settlement (and, when it was the
-// sweep's last, the sweep's completion). Persistence failures are
-// logged, not fatal: the point already settled in memory, and the
-// worst case after a crash is an idempotent re-dispatch.
+// persistPoint appends one point settlement to the WAL (and, when it
+// was the sweep's last, the sweep's completion). Failures are logged,
+// not fatal: the point already settled in memory, and the worst case
+// after a crash is an idempotent re-dispatch or a settle from the
+// warehouse row.
 func (c *Coordinator) persistPoint(sw *sweep, pt *point, res *server.RunResult, errMsg string, sweepDone bool) {
 	if c.Store() == nil {
 		return
 	}
 	var err error
 	if res != nil {
-		if werr := c.warehousePut(sw, pt); werr != nil {
-			c.log.Error("warehouse put failed", "sweep", sw.id, "spec", pt.hash, "err", werr)
-		}
 		err = c.Store().AppendPointDone(sw.id, pt.hash)
 	} else {
 		err = c.Store().AppendPointFailed(sw.id, pt.hash, errMsg)
@@ -87,17 +84,14 @@ func (c *Coordinator) persistSweepDone(sw *sweep) {
 	}
 }
 
-// warehousePut retains a settled point's result beyond the LRU cache,
+// warehousePut retains a point's result beyond the LRU cache,
 // attributed to the sweep's tenant and linked to its trace.
-func (c *Coordinator) warehousePut(sw *sweep, pt *point) error {
-	if pt.result == nil {
-		return nil
-	}
-	raw, err := json.Marshal(pt.result)
+func (c *Coordinator) warehousePut(sw *sweep, pt *point, res *server.RunResult) error {
+	raw, err := json.Marshal(res)
 	if err != nil {
 		return err
 	}
-	workload := pt.result.Workload // the mix label ("a+b") for SMT points
+	workload := res.Workload // the mix label ("a+b") for SMT points
 	if workload == "" {
 		workload = pt.sim.Workload.Name
 	}
@@ -109,7 +103,7 @@ func (c *Coordinator) warehousePut(sw *sweep, pt *point) error {
 		TraceID:   sw.span.TraceID,
 		Time:      time.Now().UTC(),
 		Result:    raw,
-		Contexts:  pt.result.Contexts,
+		Contexts:  res.Contexts,
 	})
 }
 

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/server"
+	"repro/internal/store"
 	"repro/internal/tenant"
 )
 
@@ -251,6 +252,80 @@ func TestCoordinatorAuthAndTenantPropagation(t *testing.T) {
 	for _, j := range list.Jobs {
 		if j.Tenant != "alice" {
 			t.Fatalf("job %s attributed to %q, want alice", j.ID, j.Tenant)
+		}
+	}
+}
+
+// TestSweepWarehouseRows pins the coordinator's settle order and its
+// cache-hit rule. When a sweep first reads done, every point's
+// warehouse row is already written and every point is counted.
+// Resubmitting the sweep, which the cache answers at submit, leaves
+// each row's trace and time as the point's settle wrote them.
+func TestSweepWarehouseRows(t *testing.T) {
+	cfg := fastConfig()
+	cfg.DataDir = t.TempDir()
+	coord, _ := newCoordinator(t, cfg)
+	for i := 0; i < 2; i++ {
+		wts, _ := newWorker(t)
+		if _, _, err := coord.RegisterWorker(context.Background(), wts.URL); err != nil {
+			t.Fatalf("register worker: %v", err)
+		}
+	}
+	req := server.SweepRequest{
+		Template: server.JobRequest{Insts: 20_000},
+		Axes: server.SweepAxes{
+			Workloads:  []string{"gcc2k", "mcf"},
+			Predictors: []string{"lvp", "sap", "cvp"},
+		},
+	}
+	st, err := coord.StartSweep(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Poll finely: the first read that says done must find every row.
+	deadline := time.Now().Add(60 * time.Second)
+	var final SweepStatus
+	for {
+		final, _ = coord.SweepStatusByID(st.ID, true)
+		if final.State == "done" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("sweep %s did not settle: %+v", st.ID, final)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	done, tenantDone := coord.mPtsDone.Value(), coord.mTenantPoints[st.Tenant].Value()
+	wh := coord.Store().Warehouse()
+	rows := make(map[string]store.RunRecord, len(final.Points))
+	for _, pt := range final.Points {
+		rec, ok := wh.Get(pt.SpecHash)
+		if !ok {
+			t.Errorf("point %s reads %s before its warehouse row lands", pt.SpecHash, pt.State)
+			continue
+		}
+		rows[pt.SpecHash] = rec
+	}
+	if done != 6 || tenantDone != 6 {
+		t.Errorf("sweep reads done with points counted done=%d, for its tenant %d; want 6", done, tenantDone)
+	}
+	if final.Done != 6 || len(rows) != 6 {
+		t.Fatalf("sweep settled done=%d failed=%d with %d rows, want 6 done with 6 rows", final.Done, final.Failed, len(rows))
+	}
+
+	again, err := coord.StartSweep(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.State != "done" || again.Cached != 6 {
+		t.Fatalf("resubmission = %+v, want done with 6 cached points", again)
+	}
+	for hash, was := range rows {
+		now, _ := wh.Get(hash)
+		if now.TraceID != was.TraceID || !now.Time.Equal(was.Time) {
+			t.Errorf("cache hit rewrote row %s: trace %s at %v, was %s at %v",
+				hash, now.TraceID, now.Time, was.TraceID, was.Time)
 		}
 	}
 }

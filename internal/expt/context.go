@@ -209,11 +209,6 @@ func (c *Context) BaselineMachineProgressCtx(ctx context.Context, w trace.Worklo
 // single-threaded).
 type EngineFactory func(workloadSeed uint64) cpu.Engine
 
-// RunOne simulates workload w with a fresh engine.
-func (c *Context) RunOne(w trace.Workload, config string, mk EngineFactory) stats.Run {
-	return c.RunOneCtx(context.Background(), w, config, mk)
-}
-
 // RunOneCtx simulates workload w with a fresh engine under ctx;
 // cancellation aborts the run within one check interval.
 func (c *Context) RunOneCtx(ctx context.Context, w trace.Workload, config string, mk EngineFactory) stats.Run {
@@ -221,7 +216,7 @@ func (c *Context) RunOneCtx(ctx context.Context, w trace.Workload, config string
 }
 
 // EngineSeed returns the per-workload engine seed derived from the
-// context seed — the seed RunOne hands to its factory. Exposed so
+// context seed — the seed RunOneCtx hands to its factory. Exposed so
 // callers that need to keep the engine (e.g. to inspect per-component
 // statistics after the run) can build it themselves.
 func (c *Context) EngineSeed(w trace.Workload) uint64 {

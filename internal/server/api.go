@@ -7,7 +7,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -467,9 +466,4 @@ type Health struct {
 // errorBody is the JSON error envelope for non-2xx responses.
 type errorBody struct {
 	Error string `json:"error"`
-}
-
-func marshalError(msg string) []byte {
-	b, _ := json.Marshal(errorBody{Error: msg})
-	return b
 }

@@ -25,41 +25,6 @@ func (s *Server) persistAccepted(j *job) error {
 	return s.st.AppendJobAccepted(j.id, j.tenant, j.key, raw, j.label, j.timeoutMS)
 }
 
-// persistTerminal records a job's terminal transition: done jobs also
-// land in the result warehouse (keyed by spec hash, linked to the
-// job's trace), failed and canceled jobs just settle the WAL entry so
-// a restart does not resurrect them. Persistence failures are logged,
-// not fatal — the job already settled in memory, and the worst case is
-// a re-run after restart, which the spec-hash cache identity absorbs.
-// Failed and canceled jobs dump their black box before the WAL append:
-// their state is already visible, and a client that asks for the
-// flight record next should find the durable one without also waiting
-// out the WAL's group commit.
-func (s *Server) persistTerminal(j *job, state, errMsg string, res *RunResult) {
-	if s.st == nil || s.crashed.Load() {
-		return
-	}
-	var err error
-	switch state {
-	case StateDone:
-		if res != nil {
-			if rerr := s.warehousePut(j, res); rerr != nil {
-				s.log.Error("warehouse put failed", "id", j.id, "err", rerr)
-			}
-		}
-		err = s.st.AppendJobDone(j.id, j.key)
-	case StateFailed:
-		s.dumpFlight(j, StateFailed)
-		err = s.st.AppendJobFailed(j.id, j.key, errMsg)
-	case StateCanceled:
-		s.dumpFlight(j, StateCanceled)
-		err = s.st.AppendJobCanceled(j.id, j.key)
-	}
-	if err != nil {
-		s.log.Error("wal append failed", "id", j.id, "state", state, "err", err)
-	}
-}
-
 // warehousePut retains a finished result beyond the LRU cache.
 func (s *Server) warehousePut(j *job, res *RunResult) error {
 	raw, err := json.Marshal(res)
@@ -123,12 +88,7 @@ func (s *Server) replay() error {
 		// re-simulating — the spec hash makes re-execution idempotent,
 		// and the warehouse makes it unnecessary.
 		if res, ok := s.LookupResult(j.key); ok {
-			j.mu.Lock()
-			j.cacheHit = true
-			j.mu.Unlock()
-			j.transition(StateDone, "", &res)
-			s.mDone.Inc()
-			if aerr := s.st.AppendJobDone(j.id, j.key); aerr != nil {
+			if _, aerr := s.settle(j, StateDone, "", &res, true); aerr != nil {
 				return aerr
 			}
 			continue

@@ -42,12 +42,12 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	j := s.jobs[r.PathValue("id")]
 	s.mu.Unlock()
 	if j == nil {
-		writeError(w, http.StatusNotFound, "no such job")
+		WriteError(w, http.StatusNotFound, "no such job")
 		return
 	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, http.StatusInternalServerError, "streaming unsupported by this connection")
+		WriteError(w, http.StatusInternalServerError, "streaming unsupported by this connection")
 		return
 	}
 	h := w.Header()

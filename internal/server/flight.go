@@ -128,15 +128,15 @@ func (j *job) sampleFlight(now time.Time) {
 	j.flight.sample(snap)
 }
 
-// dumpFlight persists the job's black box to the durable flight store.
-// Best-effort: a dump failure is logged, never fatal — the job already
-// settled, and the live ring still serves until the process exits.
-func (s *Server) dumpFlight(j *job, trigger string) {
+// dumpFlight persists a job's black box to the durable flight store.
+// Best-effort: a dump failure is logged, never fatal — the live ring
+// still serves until the process exits.
+func (s *Server) dumpFlight(rec store.FlightRecord) {
 	if s.st == nil || s.crashed.Load() {
 		return
 	}
-	if err := s.st.Flights().Put(j.flightRecord(trigger)); err != nil {
-		s.log.Error("flight record dump failed", "id", j.id, "err", err)
+	if err := s.st.Flights().Put(rec); err != nil {
+		s.log.Error("flight record dump failed", "id", rec.JobID, "err", err)
 	}
 }
 
@@ -176,19 +176,19 @@ func (s *Server) handleFlightRecord(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	if j != nil {
 		if !TerminalState(j.status().State) {
-			writeJSON(w, http.StatusOK, j.flightRecord(""))
+			WriteJSON(w, http.StatusOK, j.flightRecord(""))
 			return
 		}
 	}
 	if s.st != nil {
 		if rec, ok := s.st.Flights().Get(id); ok {
-			writeJSON(w, http.StatusOK, rec)
+			WriteJSON(w, http.StatusOK, rec)
 			return
 		}
 	}
 	if j != nil {
-		writeJSON(w, http.StatusOK, j.flightRecord(""))
+		WriteJSON(w, http.StatusOK, j.flightRecord(""))
 		return
 	}
-	writeError(w, http.StatusNotFound, "no flight record for job")
+	WriteError(w, http.StatusNotFound, "no flight record for job")
 }

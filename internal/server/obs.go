@@ -17,7 +17,7 @@ func (s *Server) onAlertTransition(n tsdb.Notification) {
 	}
 	for _, j := range s.runningJobs() {
 		j.flight.note("alert fired: " + n.Rule)
-		s.dumpFlight(j, "alert:"+n.Rule)
+		s.dumpFlight(j.flightRecord("alert:" + n.Rule))
 	}
 }
 

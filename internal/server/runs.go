@@ -83,7 +83,7 @@ func numContexts(r *RunResult) int {
 // when the daemon runs without a data directory.
 func (s *Server) warehouse(w http.ResponseWriter) *store.Warehouse {
 	if s.st == nil {
-		writeError(w, http.StatusNotFound, "no result warehouse: daemon started without -data-dir")
+		WriteError(w, http.StatusNotFound, "no result warehouse: daemon started without -data-dir")
 		return nil
 	}
 	return s.st.Warehouse()
@@ -121,7 +121,7 @@ func (s *Server) handleListRuns(w http.ResponseWriter, r *http.Request) {
 	if v := r.URL.Query().Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 1 || n > 500 {
-			writeError(w, http.StatusBadRequest, "limit must be an integer in [1, 500]")
+			WriteError(w, http.StatusBadRequest, "limit must be an integer in [1, 500]")
 			return
 		}
 		limit = n
@@ -131,14 +131,14 @@ func (s *Server) handleListRuns(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("contexts"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, "contexts must be a non-negative integer")
+			WriteError(w, http.StatusBadRequest, "contexts must be a non-negative integer")
 			return
 		}
 		contexts = &n
 	}
 	source := q.Get("source")
 	if source != "" && source != "external" && source != "synthetic" {
-		writeError(w, http.StatusBadRequest, `source must be "external" or "synthetic"`)
+		WriteError(w, http.StatusBadRequest, `source must be "external" or "synthetic"`)
 		return
 	}
 	recs := wh.List(store.Filter{
@@ -154,7 +154,7 @@ func (s *Server) handleListRuns(w http.ResponseWriter, r *http.Request) {
 	for _, rec := range recs {
 		list.Runs = append(list.Runs, newRunView(rec))
 	}
-	writeJSON(w, http.StatusOK, list)
+	WriteJSON(w, http.StatusOK, list)
 }
 
 // handleGetRun implements GET /v1/runs/{hash}: one retained result by
@@ -166,10 +166,10 @@ func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
 	}
 	rec, ok := wh.Get(r.PathValue("hash"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "no retained run for that spec hash")
+		WriteError(w, http.StatusNotFound, "no retained run for that spec hash")
 		return
 	}
-	writeJSON(w, http.StatusOK, newRunView(rec))
+	WriteJSON(w, http.StatusOK, newRunView(rec))
 }
 
 // handleDiffRuns implements GET /v1/runs/diff?a=HASH&b=HASH: fetch two
@@ -182,22 +182,22 @@ func (s *Server) handleDiffRuns(w http.ResponseWriter, r *http.Request) {
 	}
 	aHash, bHash := r.URL.Query().Get("a"), r.URL.Query().Get("b")
 	if aHash == "" || bHash == "" {
-		writeError(w, http.StatusBadRequest, "diff needs ?a= and ?b= spec hashes")
+		WriteError(w, http.StatusBadRequest, "diff needs ?a= and ?b= spec hashes")
 		return
 	}
 	aRec, ok := wh.Get(aHash)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no retained run for spec hash a="+aHash)
+		WriteError(w, http.StatusNotFound, "no retained run for spec hash a="+aHash)
 		return
 	}
 	bRec, ok := wh.Get(bHash)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no retained run for spec hash b="+bHash)
+		WriteError(w, http.StatusNotFound, "no retained run for spec hash b="+bHash)
 		return
 	}
 	diff := RunDiff{A: newRunView(aRec), B: newRunView(bRec)}
 	if diff.A.Result == nil || diff.B.Result == nil {
-		writeError(w, http.StatusInternalServerError, "retained result payload is unreadable")
+		WriteError(w, http.StatusInternalServerError, "retained result payload is unreadable")
 		return
 	}
 	ra, rb := diff.A.Result, diff.B.Result
@@ -222,5 +222,5 @@ func (s *Server) handleDiffRuns(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	writeJSON(w, http.StatusOK, diff)
+	WriteJSON(w, http.StatusOK, diff)
 }

@@ -230,6 +230,7 @@ type job struct {
 
 	mu       sync.Mutex
 	state    string
+	claimed  bool // a settle owns the terminal transition
 	errMsg   string
 	result   *RunResult
 	cacheHit bool
@@ -255,32 +256,48 @@ func (j *job) startPhase(phase string) {
 	j.flight.note("phase: " + phase)
 }
 
-// transition moves the job to state under its lock; it is a no-op once
-// the job reached a terminal state (done/failed/canceled win over later
-// worker-side transitions).
-func (j *job) transition(state, errMsg string, result *RunResult) bool {
+// start moves a queued job to running; it returns false once a settle
+// claimed the job (a DELETE while it was queued).
+func (j *job) start() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	switch j.state {
-	case StateDone, StateFailed, StateCanceled:
+	if j.claimed {
 		return false
 	}
-	j.state = state
-	j.errMsg = errMsg
-	j.result = result
-	switch state {
-	case StateRunning:
-		j.started = time.Now()
-	case StateDone, StateFailed, StateCanceled:
-		j.finished = time.Now()
-		close(j.done)
+	j.state = StateRunning
+	j.started = time.Now()
+	j.flight.note("state: " + StateRunning)
+	return true
+}
+
+// claim reserves the job's terminal transition for the caller and
+// notes it in the black box; the first claim wins. Status keeps
+// showing queued or running until publish. It returns when the job
+// started running (zero if it never ran).
+func (j *job) claim(state, errMsg string) (time.Time, bool) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.claimed {
+		return time.Time{}, false
 	}
+	j.claimed = true
 	msg := "state: " + state
 	if errMsg != "" {
 		msg += " (" + errMsg + ")"
 	}
 	j.flight.note(msg)
-	return true
+	return j.started, true
+}
+
+// publish makes a claimed terminal state visible and wakes every
+// waiter on j.done. A done job that never ran was answered from the
+// cache or the warehouse.
+func (j *job) publish(state, errMsg string, res *RunResult, finished time.Time) {
+	j.mu.Lock()
+	j.state, j.errMsg, j.result, j.finished = state, errMsg, res, finished
+	j.cacheHit = state == StateDone && j.started.IsZero()
+	j.mu.Unlock()
+	close(j.done)
 }
 
 // status snapshots the job for JSON rendering.
@@ -613,17 +630,18 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON writes v as a JSON response body with status code. Both
+// daemons answer through it.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
-func writeError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	w.Write(marshalError(msg))
-	w.Write([]byte("\n"))
+// WriteError writes the JSON error envelope {"error": msg} with status
+// code.
+func WriteError(w http.ResponseWriter, code int, msg string) {
+	WriteJSON(w, code, errorBody{Error: msg})
 }
 
 // specDefaults exposes the server's request defaults as spec defaults.
@@ -641,19 +659,19 @@ func (s *Server) specDefaults() spec.Defaults {
 // instead of buffering unboundedly).
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !s.accepting.Load() {
-		writeError(w, http.StatusServiceUnavailable, "server is shutting down")
+		WriteError(w, http.StatusServiceUnavailable, "server is shutting down")
 		return
 	}
 	var req JobRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
 	sim, err := req.ResolveSpec(s.specDefaults())
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 
@@ -661,14 +679,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	j, code, retryAfter := s.admit(tn, sim, req.Label(sim), req.TimeoutMS, otrace.ContextSpanContext(r.Context()))
 	switch code {
 	case http.StatusOK, http.StatusAccepted:
-		writeJSON(w, code, j.status())
+		WriteJSON(w, code, j.status())
 	case http.StatusTooManyRequests:
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
-		writeError(w, code, "tenant queue share or instruction budget exhausted; retry later")
+		WriteError(w, code, "tenant queue share or instruction budget exhausted; retry later")
 	case http.StatusInternalServerError:
-		writeError(w, code, "durable store write failed")
+		WriteError(w, code, "durable store write failed")
 	default:
-		writeError(w, http.StatusServiceUnavailable, "server is shutting down")
+		WriteError(w, http.StatusServiceUnavailable, "server is shutting down")
 	}
 }
 
@@ -740,13 +758,10 @@ func (s *Server) admit(tn *tenant.Tenant, sim spec.Sim, label string, timeoutMS 
 	j := s.newJob(tn, sim, label, timeoutMS, parent)
 
 	// Cache: equivalent requests are answered without re-simulating.
+	// The job never enters the WAL, so nothing settles there.
 	if res, ok := s.LookupResult(j.key); ok {
 		s.mCacheHits.Inc()
-		j.mu.Lock()
-		j.cacheHit = true
-		j.mu.Unlock()
-		j.transition(StateDone, "", &res)
-		s.mDone.Inc()
+		s.settle(j, StateDone, "", &res, false)
 		return j, http.StatusOK, 0
 	}
 	s.mCacheMiss.Inc()
@@ -833,7 +848,7 @@ func (s *Server) newJob(tn *tenant.Tenant, sim spec.Sim, label string, timeoutMS
 		old := s.jobs[s.order[0]]
 		if old != nil {
 			old.mu.Lock()
-			terminal := old.state == StateDone || old.state == StateFailed || old.state == StateCanceled
+			terminal := TerminalState(old.state)
 			old.mu.Unlock()
 			if !terminal {
 				break
@@ -866,14 +881,14 @@ func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
 	switch stateFilter {
 	case "", StateQueued, StateRunning, StateDone, StateFailed, StateCanceled, StateRejected:
 	default:
-		writeError(w, http.StatusBadRequest, "state must be one of queued, running, done, failed, canceled, rejected")
+		WriteError(w, http.StatusBadRequest, "state must be one of queued, running, done, failed, canceled, rejected")
 		return
 	}
 	tenantFilter := r.URL.Query().Get("tenant")
 	if v := r.URL.Query().Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 1 || n > 500 {
-			writeError(w, http.StatusBadRequest, "limit must be an integer in [1, 500]")
+			WriteError(w, http.StatusBadRequest, "limit must be an integer in [1, 500]")
 			return
 		}
 		limit = n
@@ -881,7 +896,7 @@ func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
 	if v := r.URL.Query().Get("offset"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, "offset must be a non-negative integer")
+			WriteError(w, http.StatusBadRequest, "offset must be a non-negative integer")
 			return
 		}
 		offset = n
@@ -914,7 +929,7 @@ func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
 		list.Jobs = append(list.Jobs, live[i].summary())
 	}
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, list)
+	WriteJSON(w, http.StatusOK, list)
 }
 
 func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
@@ -922,32 +937,27 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 	j := s.jobs[r.PathValue("id")]
 	s.mu.Unlock()
 	if j == nil {
-		writeError(w, http.StatusNotFound, "no such job")
+		WriteError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	writeJSON(w, http.StatusOK, j.status())
+	WriteJSON(w, http.StatusOK, j.status())
 }
 
 // handleCancelJob implements DELETE /v1/jobs/{id}: cancel a queued or
-// running job. The worker observes the cancelled context within one
-// check interval and records the job as canceled.
+// running job. The handler settles it, durably (a canceled job must
+// not resurrect on restart), and the settle stops a running job's
+// simulation within one check interval. A job that already settled
+// keeps its state.
 func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	j := s.jobs[r.PathValue("id")]
 	s.mu.Unlock()
 	if j == nil {
-		writeError(w, http.StatusNotFound, "no such job")
+		WriteError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	j.cancel()
-	// A still-queued job can be settled immediately; a running one is
-	// settled by its worker. Either way the cancellation is durable:
-	// a canceled job must not resurrect on restart.
-	if j.transition(StateCanceled, "canceled by client", nil) {
-		s.mCanceled.Inc()
-		s.persistTerminal(j, StateCanceled, "canceled by client", nil)
-	}
-	writeJSON(w, http.StatusOK, j.status())
+	s.settle(j, StateCanceled, "canceled by client", nil, true)
+	WriteJSON(w, http.StatusOK, j.status())
 }
 
 func (s *Server) handleWorkloads(w http.ResponseWriter, _ *http.Request) {
@@ -955,7 +965,7 @@ func (s *Server) handleWorkloads(w http.ResponseWriter, _ *http.Request) {
 	if ext := trace.ExternalNames(); len(ext) > 0 {
 		resp["external"] = ext
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -968,7 +978,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if secs := s.mJobDur.Sum(); secs > 0 {
 		h.SimMIPS = float64(s.mSimInsts.Value()) / 1e6 / secs
 	}
-	writeJSON(w, http.StatusOK, h)
+	WriteJSON(w, http.StatusOK, h)
 }
 
 // handleReadyz implements GET /readyz, the readiness half of the
@@ -978,10 +988,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // probe (and keeps its informational payload).
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	if !s.accepting.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
 
 // simCtx returns the shared expt.Context for an (insts, seed)
@@ -1004,21 +1014,15 @@ func (s *Server) simCtx(insts, seed uint64) *expt.Context {
 }
 
 // runJob executes one dequeued job: baseline (deduplicated per
-// workload × machine), configured run on the spec's machine, cache
-// fill, and metrics. Engines come from the spec registry — the only
-// place predictor families are interpreted.
+// workload × machine) and configured run on the spec's machine, then
+// settles it. Engines come from the spec registry — the only place
+// predictor families are interpreted.
 func (s *Server) runJob(j *job) {
-	if !j.transition(StateRunning, "", nil) {
+	if !j.start() {
 		return // canceled while queued
 	}
 	s.mInflight.Add(1)
 	start := time.Now()
-	defer func() {
-		s.mInflight.Add(-1)
-		secs := time.Since(start).Seconds()
-		s.mJobDur.Observe(secs)
-		s.noteJobDuration(secs)
-	}()
 
 	timeout := s.cfg.JobTimeout
 	if j.timeoutMS > 0 {
@@ -1038,6 +1042,7 @@ func (s *Server) runJob(j *job) {
 		otrace.String("spec", j.key),
 	)
 	defer func() {
+		<-j.done // a DELETE may own the settle
 		span.SetAttr("state", j.status().State)
 		span.Finish()
 	}()
@@ -1046,11 +1051,47 @@ func (s *Server) runJob(j *job) {
 	j.mu.Unlock()
 
 	sctx := s.simCtx(j.sim.Workload.Insts, j.sim.Run.Seed)
+	var res RunResult
+	var err error
 	if j.sim.Machine.NumContexts() > 1 {
-		s.runSMTJob(j, ctx, sctx, start)
-		return
+		res, err = s.simulateSMT(ctx, j, sctx)
+	} else {
+		res, err = s.simulate(ctx, j, sctx)
 	}
+	state, msg, persist := StateFailed, "", true
+	var result *RunResult
+	switch {
+	case err == nil:
+		// The run's config label tracks the engine ("base" for the none
+		// family); the response should echo the requested predictor.
+		res.Predictor = j.label
+		if res.StorageKB == 0 {
+			res.StorageKB = spec.StorageKB(j.sim.Predictor)
+		}
+		if secs := time.Since(start).Seconds(); secs > 0 {
+			res.SimMIPS = float64(res.SimInstructions) / 1e6 / secs
+		}
+		state, result = StateDone, &res
+	case errors.Is(err, context.DeadlineExceeded):
+		msg = "job deadline exceeded"
+	case errors.Is(err, context.Canceled):
+		// A DELETE claims the settle before it cancels, so this is a
+		// shutdown's abandonment: nothing is persisted, the WAL keeps
+		// owing the job, and a restart re-enqueues it.
+		state, msg, persist = StateCanceled, "canceled", false
+	default:
+		msg = err.Error()
+	}
+	if claimed, _ := s.settle(j, state, msg, result, persist); claimed {
+		s.log.InfoContext(ctx, "job "+state, "id", j.id, "workload", j.sim.WorkloadLabel(),
+			"predictor", j.label, "spec", j.key, "speedup_pct", res.SpeedupPct, "err", msg,
+			"dur_ms", time.Since(start).Milliseconds())
+	}
+}
 
+// simulate runs a single-context job's baseline and configured run. An
+// aborted phase returns its context's error.
+func (s *Server) simulate(ctx context.Context, j *job, sctx *expt.Context) (RunResult, error) {
 	w, _ := trace.ByName(j.sim.Workload.Name) // validated at submit
 
 	baseCached := sctx.HasBaselineMachine(w.Name, j.sim.Machine)
@@ -1060,19 +1101,12 @@ func (s *Server) runJob(j *job) {
 	base := sctx.BaselineMachineProgressCtx(bctx, w, j.sim.Machine, &j.prog, s.cfg.ProgressInterval)
 	bspan.Finish()
 	if base.Aborted {
-		s.settleAborted(j, ctx)
-		return
+		return RunResult{}, ctx.Err()
 	}
 	var simInsts uint64
 	if !baseCached {
-		s.mSimInsts.Add(base.Instructions)
-		simInsts += base.Instructions
+		simInsts += s.countSimInsts(j, base.Instructions)
 	}
-	defer func() {
-		if c := s.mTenantSimInsts[j.tenant]; c != nil && simInsts > 0 {
-			c.Add(simInsts)
-		}
-	}()
 
 	var res RunResult
 	if j.sim.Predictor.Family == spec.FamilyNone {
@@ -1080,54 +1114,27 @@ func (s *Server) runJob(j *job) {
 	} else {
 		eng, err := spec.NewEngine(j.sim.Predictor, j.sim.Workload.Insts, sctx.EngineSeed(w))
 		if err != nil {
-			// Unreachable: the spec was validated at submit.
-			if j.transition(StateFailed, err.Error(), nil) {
-				s.mFailed.Inc()
-				s.persistTerminal(j, StateFailed, err.Error(), nil)
-			}
-			return
+			return RunResult{}, err // unreachable: the spec was validated at submit
 		}
 		j.startPhase("run")
 		rctx, rspan := s.tracer.StartSpan(ctx, "run")
 		run := sctx.RunEngineCfgProgressCtx(rctx, w, j.label, eng, j.sim.Machine.Config(), &j.prog, s.cfg.ProgressInterval)
 		rspan.Finish()
-		s.mSimInsts.Add(run.Instructions)
-		simInsts += run.Instructions
+		simInsts += s.countSimInsts(j, run.Instructions)
 		if run.Aborted {
-			s.settleAborted(j, ctx)
-			return
+			return RunResult{}, ctx.Err()
 		}
 		res = NewRunResult(run, base, CompositeFromEngine(eng))
 	}
-
-	// The run's config label tracks the engine ("base" for the none
-	// family); the response should echo the requested predictor.
-	res.Predictor = j.label
-	if res.StorageKB == 0 {
-		res.StorageKB = spec.StorageKB(j.sim.Predictor)
-	}
-
 	res.SimInstructions = simInsts
-	if secs := time.Since(start).Seconds(); secs > 0 {
-		res.SimMIPS = float64(simInsts) / 1e6 / secs
-	}
-
-	s.cache.Put(j.key, res)
-	if j.transition(StateDone, "", &res) {
-		s.mDone.Inc()
-		s.persistTerminal(j, StateDone, "", &res)
-		s.log.InfoContext(ctx, "job done", "id", j.id, "workload", j.sim.Workload.Name,
-			"predictor", j.label, "spec", j.key, "speedup_pct", res.SpeedupPct,
-			"dur_ms", time.Since(start).Milliseconds())
-	}
+	return res, nil
 }
 
-// runSMTJob executes a multi-context job: SMT baseline (deduplicated
-// per mix × machine), configured SMT run, cache fill, and metrics —
-// the multi-context twin of runJob's tail. The job's per-context
-// progress rows receive each context's live snapshot alongside the
-// machine-wide aggregate in j.prog.
-func (s *Server) runSMTJob(j *job, ctx context.Context, sctx *expt.Context, start time.Time) {
+// simulateSMT is simulate for a multi-context job: SMT baseline
+// (deduplicated per mix × machine) and configured SMT run. The job's
+// per-context progress rows receive each context's live snapshot
+// alongside the machine-wide aggregate in j.prog.
+func (s *Server) simulateSMT(ctx context.Context, j *job, sctx *expt.Context) (RunResult, error) {
 	rows := make([]*cpu.Progress, len(j.progRows))
 	for i := range j.progRows {
 		rows[i] = &j.progRows[i]
@@ -1140,19 +1147,12 @@ func (s *Server) runSMTJob(j *job, ctx context.Context, sctx *expt.Context, star
 	base := sctx.SMTBaselineProgressCtx(bctx, j.sim, &j.prog, rows, s.cfg.ProgressInterval)
 	bspan.Finish()
 	if base.Aborted() {
-		s.settleAborted(j, ctx)
-		return
+		return RunResult{}, ctx.Err()
 	}
 	var simInsts uint64
 	if !baseCached {
-		s.mSimInsts.Add(base.Merged.Instructions)
-		simInsts += base.Merged.Instructions
+		simInsts += s.countSimInsts(j, base.Merged.Instructions)
 	}
-	defer func() {
-		if c := s.mTenantSimInsts[j.tenant]; c != nil && simInsts > 0 {
-			c.Add(simInsts)
-		}
-	}()
 
 	var res RunResult
 	if j.sim.Predictor.Family == spec.FamilyNone {
@@ -1160,61 +1160,101 @@ func (s *Server) runSMTJob(j *job, ctx context.Context, sctx *expt.Context, star
 	} else {
 		eng, err := spec.NewEngine(j.sim.Predictor, j.sim.Workload.Insts, sctx.EngineSeedLabel(j.sim.WorkloadLabel()))
 		if err != nil {
-			// Unreachable: the spec was validated at submit.
-			if j.transition(StateFailed, err.Error(), nil) {
-				s.mFailed.Inc()
-				s.persistTerminal(j, StateFailed, err.Error(), nil)
-			}
-			return
+			return RunResult{}, err // unreachable: the spec was validated at submit
 		}
 		j.startPhase("run")
 		rctx, rspan := s.tracer.StartSpan(ctx, "run")
 		run := sctx.RunSMTProgressCtx(rctx, j.sim, j.label, eng, &j.prog, rows, s.cfg.ProgressInterval)
 		rspan.Finish()
-		s.mSimInsts.Add(run.Merged.Instructions)
-		simInsts += run.Merged.Instructions
+		simInsts += s.countSimInsts(j, run.Merged.Instructions)
 		if run.Aborted() {
-			s.settleAborted(j, ctx)
-			return
+			return RunResult{}, ctx.Err()
 		}
 		res = NewSMTRunResult(run, base, j.sim.ContextStreams(), CompositeFromEngine(eng))
 	}
-
-	res.Predictor = j.label
-	if res.StorageKB == 0 {
-		res.StorageKB = spec.StorageKB(j.sim.Predictor)
-	}
 	res.SimInstructions = simInsts
-	if secs := time.Since(start).Seconds(); secs > 0 {
-		res.SimMIPS = float64(simInsts) / 1e6 / secs
-	}
-
-	s.cache.Put(j.key, res)
-	if j.transition(StateDone, "", &res) {
-		s.mDone.Inc()
-		s.persistTerminal(j, StateDone, "", &res)
-		s.log.InfoContext(ctx, "job done", "id", j.id, "workload", res.Workload,
-			"predictor", j.label, "spec", j.key, "contexts", res.Contexts,
-			"speedup_pct", res.SpeedupPct, "dur_ms", time.Since(start).Milliseconds())
-	}
+	return res, nil
 }
 
-// settleAborted records why a job's simulation stopped early. A
-// deadline abort is terminal (persisted, never replayed); a
-// cancellation during shutdown is NOT persisted unless the client
-// asked for it — the accepted event stays unfinished in the WAL and
-// the job is re-enqueued on restart.
-func (s *Server) settleAborted(j *job, ctx context.Context) {
-	switch {
-	case errors.Is(ctx.Err(), context.DeadlineExceeded):
-		if j.transition(StateFailed, "job deadline exceeded", nil) {
-			s.mFailed.Inc()
-			s.persistTerminal(j, StateFailed, "job deadline exceeded", nil)
-		}
-	default:
-		if j.transition(StateCanceled, "canceled", nil) {
-			s.mCanceled.Inc()
-		}
+// countSimInsts adds n simulated instructions to the service's and the
+// job's tenant's counters, and returns n.
+func (s *Server) countSimInsts(j *job, n uint64) uint64 {
+	s.mSimInsts.Add(n)
+	if c := s.mTenantSimInsts[j.tenant]; c != nil {
+		c.Add(n)
 	}
-	s.log.InfoContext(ctx, "job aborted", "id", j.id, "reason", ctx.Err())
+	return n
+}
+
+// settle is the only way a job reaches done, failed or canceled, and
+// it runs its steps in the order DESIGN §12 gives: what a client reads
+// next lands before the state is published, and the WAL record, which
+// no API reads, comes last. persist is false where the WAL holds
+// nothing to settle: a cache hit at admission never entered it, and a
+// shutdown's abandonment leaves the job owed. settle reports whether
+// this call claimed the job, and the WAL append's error (logged).
+func (s *Server) settle(j *job, state, errMsg string, res *RunResult, persist bool) (bool, error) {
+	// 1. Claim: the first caller wins; status still shows queued or
+	// running. Cancelling stops a simulation that a DELETE claimed.
+	started, ok := j.claim(state, errMsg)
+	if !ok {
+		return false, nil
+	}
+	j.cancel()
+	finished := time.Now()
+	ran := !started.IsZero()
+	persist = persist && s.st != nil && !s.crashed.Load()
+
+	// 2. Write what the API reads. A done job that never ran (a
+	// replayed warehouse hit) already has its row.
+	switch {
+	case state == StateDone && ran:
+		s.cache.Put(j.key, *res)
+		if persist {
+			if err := s.warehousePut(j, res); err != nil {
+				s.log.Error("warehouse put failed", "id", j.id, "err", err)
+			}
+		}
+	case state != StateDone && persist:
+		rec := j.flightRecord(state)
+		rec.State, rec.Error, rec.Finished = state, errMsg, finished
+		s.dumpFlight(rec)
+	}
+
+	// 3. Observe.
+	switch state {
+	case StateDone:
+		s.mDone.Inc()
+	case StateFailed:
+		s.mFailed.Inc()
+	case StateCanceled:
+		s.mCanceled.Inc()
+	}
+	if ran {
+		secs := finished.Sub(started).Seconds()
+		s.mJobDur.Observe(secs)
+		s.noteJobDuration(secs)
+		s.mInflight.Add(-1)
+	}
+
+	// 4. Publish.
+	j.publish(state, errMsg, res, finished)
+
+	// 5. Append the WAL terminal record.
+	if !persist {
+		return true, nil
+	}
+	var err error
+	switch state {
+	case StateDone:
+		err = s.st.AppendJobDone(j.id, j.key)
+	case StateFailed:
+		err = s.st.AppendJobFailed(j.id, j.key, errMsg)
+	case StateCanceled:
+		err = s.st.AppendJobCanceled(j.id, j.key)
+	}
+	if err != nil {
+		s.log.Error("wal append failed", "id", j.id, "state", state, "err", err)
+	}
+	return true, err
 }

@@ -323,17 +323,17 @@ func (sh *Shell) authenticate(next http.Handler) http.Handler {
 		tn, ok := sh.tenants.Authenticate(key)
 		if !ok {
 			sh.mAuthFailed.Inc()
-			writeError(w, http.StatusUnauthorized, "missing or unknown API key")
+			WriteError(w, http.StatusUnauthorized, "missing or unknown API key")
 			return
 		}
 		if name := r.Header.Get("X-Lvpd-Tenant"); name != "" && name != tn.Name {
 			if !tn.Proxy {
-				writeError(w, http.StatusForbidden, "tenant is not allowed to attribute work to others")
+				WriteError(w, http.StatusForbidden, "tenant is not allowed to attribute work to others")
 				return
 			}
 			attributed, ok := sh.tenants.ByName(name)
 			if !ok {
-				writeError(w, http.StatusForbidden, "unknown tenant in X-Lvpd-Tenant")
+				WriteError(w, http.StatusForbidden, "unknown tenant in X-Lvpd-Tenant")
 				return
 			}
 			tn = attributed
@@ -457,7 +457,7 @@ func (sh *Shell) handleAlerts(w http.ResponseWriter, r *http.Request) {
 func (sh *Shell) handleUploadWorkload(w http.ResponseWriter, r *http.Request) {
 	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxTraceArtifactBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading trace body: "+err.Error())
+		WriteError(w, http.StatusBadRequest, "reading trace body: "+err.Error())
 		return
 	}
 	// The conversion bound is the artifact store's resident budget: a
@@ -465,16 +465,16 @@ func (sh *Shell) handleUploadWorkload(w http.ResponseWriter, r *http.Request) {
 	// so reject it before materializing anything.
 	name, rep, info, err := tracein.ConvertBytes(data, trace.DefaultArtifactBudget)
 	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, "converting trace: "+err.Error())
+		WriteError(w, http.StatusUnprocessableEntity, "converting trace: "+err.Error())
 		return
 	}
 	if _, err := trace.RegisterExternal(name, rep, true); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	key, err := sh.traces.PutRecording(name, rep)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "persisting trace: "+err.Error())
+		WriteError(w, http.StatusInternalServerError, "persisting trace: "+err.Error())
 		return
 	}
 	sh.mUploads.Inc()
@@ -482,7 +482,7 @@ func (sh *Shell) handleUploadWorkload(w http.ResponseWriter, r *http.Request) {
 		"workload", name, "insts", info.Insts, "artifact", key,
 		"tenant", sh.RequestTenant(r.Context()).Name, "backfilled_bytes", info.BackfilledBytes,
 		"inconsistent_loads", info.InconsistentLoads)
-	writeJSON(w, http.StatusCreated, WorkloadUpload{
+	WriteJSON(w, http.StatusCreated, WorkloadUpload{
 		Workload:          name,
 		Insts:             info.Insts,
 		Artifact:          key,

@@ -172,14 +172,14 @@ func (r SweepRequest) expand(max int) ([]sweepPoint, error) {
 // and 429 (+ Retry-After) when backpressure shed any point.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if !s.accepting.Load() {
-		writeError(w, http.StatusServiceUnavailable, "server is shutting down")
+		WriteError(w, http.StatusServiceUnavailable, "server is shutting down")
 		return
 	}
 	var req SweepRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
 	tn := s.RequestTenant(r.Context())
@@ -189,7 +189,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	points, err := req.Expand(s.specDefaults(), maxPoints)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 
@@ -231,7 +231,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if code == http.StatusTooManyRequests {
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
 	}
-	writeJSON(w, code, resp)
+	WriteJSON(w, code, resp)
 }
 
 // handlePresets implements GET /v1/presets: the named starting specs
@@ -247,5 +247,5 @@ func (s *Server) handlePresets(w http.ResponseWriter, _ *http.Request) {
 		sim, _ := spec.Preset(n)
 		out = append(out, presetInfo{Name: n, Description: spec.PresetDescription(n), Spec: sim})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"presets": out})
+	WriteJSON(w, http.StatusOK, map[string]any{"presets": out})
 }

@@ -21,7 +21,7 @@ func (s *Server) handleGetTrace(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("hash")
 	data, ok := s.traces.Export(key)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no artifact under this address")
+		WriteError(w, http.StatusNotFound, "no artifact under this address")
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -38,11 +38,11 @@ func (s *Server) handlePutTrace(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("hash")
 	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxTraceArtifactBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading artifact body: "+err.Error())
+		WriteError(w, http.StatusBadRequest, "reading artifact body: "+err.Error())
 		return
 	}
 	if err := s.traces.Put(key, data); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)

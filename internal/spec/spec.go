@@ -188,14 +188,6 @@ func nilIfBool(v **bool, def bool) {
 	}
 }
 
-// IsDefault reports whether the (normalized) machine is the Table III
-// baseline.
-func (m MachineSpec) IsDefault() bool {
-	n := m
-	n.Normalize()
-	return n == MachineSpec{}
-}
-
 // Hash returns a short canonical hash of the machine deltas; the
 // default machine hashes to the empty string (so cache keys for the
 // baseline machine stay stable across spec versions).

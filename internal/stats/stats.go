@@ -119,17 +119,6 @@ func Accumulate(dst *Run, r Run) {
 	dst.Aborted = dst.Aborted || r.Aborted
 }
 
-// Merge aggregates the per-context runs of one SMT simulation into a
-// machine-wide summary labeled workload/config. See Accumulate for the
-// merge semantics.
-func Merge(workload, config string, runs []Run) Run {
-	m := Run{Workload: workload, Config: config}
-	for _, r := range runs {
-		Accumulate(&m, r)
-	}
-	return m
-}
-
 // String implements fmt.Stringer with the headline numbers.
 func (r Run) String() string {
 	return fmt.Sprintf("%s/%s: IPC=%.3f coverage=%.1f%% accuracy=%.4f flushes(vp=%d br=%d mo=%d)",

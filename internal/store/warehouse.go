@@ -9,7 +9,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -299,19 +298,6 @@ func (w *Warehouse) List(f Filter) []RunRecord {
 			break
 		}
 	}
-	return out
-}
-
-// Hashes returns every live spec hash, sorted (for tests and
-// diagnostics).
-func (w *Warehouse) Hashes() []string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	out := make([]string, 0, len(w.index))
-	for h := range w.index {
-		out = append(out, h)
-	}
-	sort.Strings(out)
 	return out
 }
 

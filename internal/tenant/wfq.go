@@ -159,17 +159,6 @@ func (w *WFQ) TenantLen(name string) int {
 	return 0
 }
 
-// Depths snapshots every tenant's queue depth.
-func (w *WFQ) Depths() map[string]int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	out := make(map[string]int, len(w.queues))
-	for name, q := range w.queues {
-		out[name] = len(q.items)
-	}
-	return out
-}
-
 // OldestWait returns how long tenant name's head-of-line item has been
 // queued as of now — the starvation signal: under fair weighted service
 // it stays bounded by the tenant's share of drain capacity, and grows
