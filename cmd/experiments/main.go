@@ -161,7 +161,7 @@ func runSpec(specFile string, dump bool, insts, seed uint64, sample, parallel in
 
 	label := string(sim.Predictor.Family)
 	start := time.Now()
-	pairs := ctx.RunSim(sim, label)
+	pairs := ctx.Runs(sim)
 	for _, p := range pairs {
 		fmt.Printf("  %-14s speedup=%+7.2f%%  coverage=%5.1f%%  accuracy=%.4f\n",
 			p.Workload, p.Speedup(), p.Run.Coverage(), p.Run.Accuracy())

@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/cpu"
 	"repro/internal/spec"
-	"repro/internal/trace"
 )
 
 // Ablations quantifies the design choices DESIGN.md calls out: each row
@@ -15,58 +13,38 @@ import (
 // paper with the sensitivity study its Section V motivates.
 func Ablations(ctx *Context) Result {
 	_, big := fig11Configs()
-	mk := ctx.BestComposite(big)
+	full := bestComposite(big)
+	off, paq8, unbounded := false, 8, 0
+	subset := func(comps ...core.Component) [core.NumComponents]int {
+		var e [core.NumComponents]int
+		for _, c := range comps {
+			e[c] = big[c]
+		}
+		return e
+	}
 
+	// Machine rows change the core under the full system, so each one's
+	// speedup is against a baseline on the same core; predictor rows
+	// keep the Table III core.
 	rows := []struct {
 		name string
-		cfg  func() cpu.Config
-		eng  EngineFactory
+		sim  spec.Sim
 	}{
-		{"full system", cpu.DefaultConfig, mk},
-		{"- PAQ prefetch on probe miss", func() cpu.Config {
-			c := cpu.DefaultConfig()
-			c.PAQPrefetchOnMiss = false
-			return c
-		}, mk},
-		{"- store-conflict suppression", func() cpu.Config {
-			c := cpu.DefaultConfig()
-			c.SuppressStoreConflicts = false
-			return c
-		}, mk},
-		{"replay recovery (vs flush)", func() cpu.Config {
-			c := cpu.DefaultConfig()
-			c.ReplayRecovery = true
-			return c
-		}, mk},
-		{"PAQ depth 8 (vs 24)", func() cpu.Config {
-			c := cpu.DefaultConfig()
-			c.PAQDepth = 8
-			return c
-		}, mk},
-		{"PAQ unbounded", func() cpu.Config {
-			c := cpu.DefaultConfig()
-			c.PAQDepth = 0
-			return c
-		}, mk},
-		{"- accuracy monitor", cpu.DefaultConfig, ctx.CompositeFactory(big, spec.AMNone, false, true)},
-		{"- table fusion", cpu.DefaultConfig, ctx.CompositeFactory(big, spec.AMPC, false, false)},
-		{"- address predictors (LVP+CVP)", cpu.DefaultConfig, func() EngineFactory {
-			var e [core.NumComponents]int
-			e[core.CompLVP] = big[core.CompLVP]
-			e[core.CompCVP] = big[core.CompCVP]
-			return ctx.CompositeFactory(e, spec.AMPC, false, false)
-		}()},
-		{"- value predictors (SAP+CAP)", cpu.DefaultConfig, func() EngineFactory {
-			var e [core.NumComponents]int
-			e[core.CompSAP] = big[core.CompSAP]
-			e[core.CompCAP] = big[core.CompCAP]
-			return ctx.CompositeFactory(e, spec.AMPC, false, false)
-		}()},
+		{"full system", spec.Sim{Predictor: full}},
+		{"- PAQ prefetch on probe miss", spec.Sim{Machine: spec.MachineSpec{PAQPrefetchOnMiss: &off}, Predictor: full}},
+		{"- store-conflict suppression", spec.Sim{Machine: spec.MachineSpec{SuppressStoreConflicts: &off}, Predictor: full}},
+		{"replay recovery (vs flush)", spec.Sim{Machine: spec.MachineSpec{ReplayRecovery: true}, Predictor: full}},
+		{"PAQ depth 8 (vs 24)", spec.Sim{Machine: spec.MachineSpec{PAQDepth: &paq8}, Predictor: full}},
+		{"PAQ unbounded", spec.Sim{Machine: spec.MachineSpec{PAQDepth: &unbounded}, Predictor: full}},
+		{"- accuracy monitor", spec.Sim{Predictor: composite(big, spec.AMNone, false, true)}},
+		{"- table fusion", spec.Sim{Predictor: composite(big, spec.AMPC, false, false)}},
+		{"- address predictors (LVP+CVP)", spec.Sim{Predictor: composite(subset(core.CompLVP, core.CompCVP), spec.AMPC, false, false)}},
+		{"- value predictors (SAP+CAP)", spec.Sim{Predictor: composite(subset(core.CompSAP, core.CompCAP), spec.AMPC, false, false)}},
 	}
 
 	t := &table{header: []string{"Configuration", "Speedup", "Coverage", "Accuracy"}}
 	for _, row := range rows {
-		agg := Summarize(ctx.perWorkloadCfg(row.name, row.cfg(), row.eng))
+		agg := Summarize(ctx.Runs(row.sim))
 		t.add(row.name, pct(agg.Speedup), pctu(agg.Coverage), fmt.Sprintf("%.4f", agg.Accuracy))
 	}
 	return Result{
@@ -76,23 +54,6 @@ func Ablations(ctx *Context) Result {
 	}
 }
 
-// perWorkloadCfg is PerWorkload with an explicit core configuration.
-// The baseline for speedup uses the same core configuration so each row
-// isolates the predictor-side mechanism.
-func (c *Context) perWorkloadCfg(config string, coreCfg cpu.Config, mk EngineFactory) []Pair {
-	out := make([]Pair, len(c.pool))
-	c.forEach(func(i int, w trace.Workload) {
-		p := cpu.Acquire(coreCfg, nil)
-		base := p.Run(w.Build(c.insts), w.Name, "base")
-		eng := mk(core.SplitMix64(c.seed ^ hashName(w.Name)))
-		p.Reset(coreCfg, eng)
-		run := p.Run(w.Build(c.insts), w.Name, config)
-		cpu.Release(p)
-		out[i] = Pair{Workload: w.Name, Run: run, Base: base}
-	})
-	return out
-}
-
 // WindowSweep measures how the composite's benefit scales with the
 // out-of-order window: the paper motivates value prediction by the
 // growth of scheduling windows (Section I), and this extension
@@ -100,7 +61,7 @@ func (c *Context) perWorkloadCfg(config string, coreCfg cpu.Config, mk EngineFac
 // larger windows extract more MLP on their own.
 func WindowSweep(ctx *Context) Result {
 	_, big := fig11Configs()
-	mk := ctx.CompositeFactory(big, spec.AMPC, false, false)
+	pred := composite(big, spec.AMPC, false, false)
 	t := &table{header: []string{"ROB", "IQ", "LDQ/STQ", "Baseline IPC", "Speedup", "Coverage"}}
 	for _, scale := range []struct {
 		name     string
@@ -112,9 +73,8 @@ func WindowSweep(ctx *Context) Result {
 		{"double", 448, 194, 144, 112},
 		{"quad", 896, 388, 288, 224},
 	} {
-		cfg := cpu.DefaultConfig()
-		cfg.ROB, cfg.IQ, cfg.LDQ, cfg.STQ = scale.rob, scale.iq, scale.ldq, scale.stq
-		pairs := ctx.perWorkloadCfg("win-"+scale.name, cfg, mk)
+		m := spec.MachineSpec{ROB: scale.rob, IQ: scale.iq, LDQ: scale.ldq, STQ: scale.stq}
+		pairs := ctx.Runs(spec.Sim{Machine: m, Predictor: pred})
 		agg := Summarize(pairs)
 		baseIPC := 0.0
 		for _, p := range pairs {

@@ -45,8 +45,17 @@ type Options struct {
 	Traces *trace.ArtifactStore
 }
 
-// Context caches baseline runs and fans simulation jobs out over a
-// worker pool. It is safe for concurrent use.
+// Context memoizes simulations and fans them out over a worker pool.
+// It is safe for concurrent use.
+//
+// The memo holds every run a Context simulates from a spec alone —
+// single- and multi-context baselines, and each (workload, machine,
+// predictor) point a figure asks for — keyed by the canonical hash of
+// the run's full spec.Sim at the context's budget and seed, the key
+// lvpd's result cache and warehouse use. Each key is simulated at most
+// once: concurrent callers wait for the in-flight run. Aborted runs are
+// returned but never memoized, and runs handed an engine
+// (RunEngineCfg*Ctx, RunSMT*Ctx) bypass the memo.
 type Context struct {
 	insts  uint64
 	seed   uint64
@@ -54,10 +63,26 @@ type Context struct {
 	par    int
 	traces *trace.ArtifactStore
 
-	mu           sync.Mutex
-	baselines    map[string]stats.Run
-	smtBaselines map[string]SMTResult
-	inflight     map[string]chan struct{}
+	mu   sync.Mutex
+	memo map[string]*memoEntry
+}
+
+// memoEntry is one spec's simulation. done closes when the run
+// settles; ok reports, under the context's lock, that res holds a
+// complete run. An aborted run leaves the memo before done closes, so
+// its waiters simulate again.
+type memoEntry struct {
+	done chan struct{}
+	ok   bool
+	res  memoRun
+}
+
+// memoRun is one memoized simulation: the machine-wide run (with the
+// per-context runs on a multi-context machine) and, for composite
+// predictors, the composite's statistics.
+type memoRun struct {
+	SMTResult
+	comp core.CompositeStats
 }
 
 // NewContext builds a context from opts. It panics on an unknown
@@ -79,6 +104,7 @@ func NewContextErr(opts Options) (*Context, error) {
 		seed:   opts.Seed,
 		par:    opts.Parallel,
 		traces: opts.Traces,
+		memo:   make(map[string]*memoEntry),
 	}
 	if c.insts == 0 {
 		c.insts = 100_000
@@ -100,9 +126,6 @@ func NewContextErr(opts Options) (*Context, error) {
 			c.pool = append(c.pool, w)
 		}
 	}
-	c.baselines = make(map[string]stats.Run)
-	c.smtBaselines = make(map[string]SMTResult)
-	c.inflight = make(map[string]chan struct{})
 	return c, nil
 }
 
@@ -115,125 +138,144 @@ func (c *Context) Seed() uint64 { return c.seed }
 // Pool returns the workload pool.
 func (c *Context) Pool() []trace.Workload { return c.pool }
 
-// Baseline simulates (or returns the cached) no-VP run for w.
-func (c *Context) Baseline(w trace.Workload) stats.Run {
-	return c.BaselineCtx(context.Background(), w)
+// canonical fills sim's budget and seed from the context and
+// normalizes it, so it hashes like the spec of an lvpd job for the
+// same run.
+func (c *Context) canonical(sim spec.Sim) spec.Sim {
+	sim.Workload.Insts = c.insts
+	sim.Run.Seed = c.seed
+	sim.Normalize(spec.Defaults{})
+	return sim
 }
 
-// HasBaseline reports whether the named workload's Table III baseline
-// is already cached (i.e. BaselineCtx would return without simulating).
-func (c *Context) HasBaseline(name string) bool {
-	return c.HasBaselineMachine(name, spec.MachineSpec{})
+// baselineOf returns the canonical spec of sim's baseline: the same
+// machine and workload mix with no value predictor.
+func (c *Context) baselineOf(sim spec.Sim) spec.Sim {
+	sim.Predictor = spec.PredictorSpec{Family: spec.FamilyNone}
+	return c.canonical(sim)
+}
+
+// memoized reports whether the canonical spec's run is in the memo.
+func (c *Context) memoized(sim spec.Sim) bool {
+	key := sim.CanonicalHash()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e := c.memo[key]
+	return e != nil && e.ok
+}
+
+// run returns the memoized run of a canonical spec, simulating it if no
+// complete run is memoized and none is in flight. Only the caller that
+// simulates publishes progress into pr (and rows, per context).
+func (c *Context) run(ctx context.Context, sim spec.Sim, pr *cpu.Progress, rows []*cpu.Progress, every int) memoRun {
+	key := sim.CanonicalHash()
+	for {
+		c.mu.Lock()
+		e := c.memo[key]
+		if e != nil && e.ok {
+			c.mu.Unlock()
+			return e.res
+		}
+		if e != nil {
+			c.mu.Unlock()
+			select {
+			case <-e.done:
+				continue // the run may have aborted; look again
+			case <-ctx.Done():
+				aborted := stats.Run{Workload: sim.WorkloadLabel(), Config: configLabel(sim.Predictor), Aborted: true}
+				return memoRun{SMTResult: SMTResult{Merged: aborted}}
+			}
+		}
+		e = &memoEntry{done: make(chan struct{})}
+		c.memo[key] = e
+		c.mu.Unlock()
+
+		r := c.simulate(ctx, sim, pr, rows, every)
+		c.mu.Lock()
+		if r.Aborted() {
+			delete(c.memo, key)
+		} else {
+			e.res, e.ok = r, true
+		}
+		c.mu.Unlock()
+		close(e.done)
+		return r
+	}
+}
+
+// simulate runs a canonical spec with a fresh engine from the spec
+// registry. A multi-context machine runs the spec's mix through the
+// SMT path; a single-context one runs the workload's stream alone.
+func (c *Context) simulate(ctx context.Context, sim spec.Sim, pr *cpu.Progress, rows []*cpu.Progress, every int) memoRun {
+	eng, err := spec.NewEngine(sim.Predictor, c.insts, c.EngineSeedLabel(sim.WorkloadLabel()))
+	if err != nil {
+		// Unreachable for normalized specs; services validate
+		// untrusted specs before reaching here.
+		panic("expt: " + err.Error())
+	}
+	label := configLabel(sim.Predictor)
+	var r memoRun
+	if sim.Machine.NumContexts() > 1 {
+		r.SMTResult = c.RunSMTProgressCtx(ctx, sim, label, eng, pr, rows, every)
+	} else {
+		r.Merged = c.runStream(ctx, sim.Workload.Name, label, eng, sim.Machine.Config(), pr, every)
+	}
+	if ce, ok := eng.(*cpu.CompositeEngine); ok {
+		r.comp = ce.C.Stats()
+	}
+	return r
+}
+
+// configLabel is the config label of a memoized run: "base" for the
+// no-VP baseline, the predictor family otherwise.
+func configLabel(p spec.PredictorSpec) string {
+	if p.Family == spec.FamilyNone {
+		return "base"
+	}
+	return string(p.Family)
 }
 
 // HasBaselineMachine reports whether the named workload's baseline on
-// machine m is already cached.
+// machine m is already memoized (i.e. BaselineMachineCtx would return
+// without simulating).
 func (c *Context) HasBaselineMachine(name string, m spec.MachineSpec) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.baselines[baselineKey(name, m)]
-	return ok
+	return c.memoized(c.baselineOf(spec.Sim{Machine: m, Workload: spec.WorkloadSpec{Name: name}}))
 }
 
-// baselineKey identifies a baseline run: the workload name, suffixed
-// with the machine's canonical hash when it deviates from Table III.
-func baselineKey(name string, m spec.MachineSpec) string {
-	if h := m.Hash(); h != "" {
-		return name + "@" + h
-	}
-	return name
-}
-
-// BaselineCtx simulates (or returns the cached) no-VP run for w on the
-// Table III machine.
-func (c *Context) BaselineCtx(ctx context.Context, w trace.Workload) stats.Run {
-	return c.BaselineMachineCtx(ctx, w, spec.MachineSpec{})
-}
-
-// BaselineMachineCtx simulates (or returns the cached) no-VP run for w
-// on the machine described by m. The baseline for each (workload,
-// machine) pair is simulated at most once: concurrent callers for the
-// same uncached pair wait for the in-flight run instead of recomputing
-// it. Aborted runs (ctx cancelled mid-simulation) are returned to the
-// caller but never cached.
+// BaselineMachineCtx simulates (or returns the memoized) no-VP run for
+// w on the machine described by m. Concurrent callers for the same
+// unmemoized pair wait for the in-flight run instead of recomputing it.
+// Aborted runs (ctx cancelled mid-simulation) are returned to the
+// caller but never memoized.
 func (c *Context) BaselineMachineCtx(ctx context.Context, w trace.Workload, m spec.MachineSpec) stats.Run {
 	return c.BaselineMachineProgressCtx(ctx, w, m, nil, 0)
 }
 
 // BaselineMachineProgressCtx is BaselineMachineCtx with a live progress
-// slot: when this caller ends up simulating the baseline (cache miss,
+// slot: when this caller ends up simulating the baseline (memo miss,
 // no other run in flight), the pipeline publishes a snapshot into pr
-// every `every` instructions. Callers answered from the cache or from
+// every `every` instructions. Callers answered from the memo or from
 // another caller's in-flight run observe no publications — the slot
 // reports whatever it last held.
 func (c *Context) BaselineMachineProgressCtx(ctx context.Context, w trace.Workload, m spec.MachineSpec, pr *cpu.Progress, every int) stats.Run {
-	key := baselineKey(w.Name, m)
-	for {
-		c.mu.Lock()
-		if r, ok := c.baselines[key]; ok {
-			c.mu.Unlock()
-			return r
-		}
-		if ch, ok := c.inflight[key]; ok {
-			c.mu.Unlock()
-			select {
-			case <-ch:
-				continue // re-check the cache; the run may have aborted
-			case <-ctx.Done():
-				return stats.Run{Workload: w.Name, Config: "base", Aborted: true}
-			}
-		}
-		ch := make(chan struct{})
-		c.inflight[key] = ch
-		c.mu.Unlock()
-
-		p := cpu.Acquire(m.Config(), nil)
-		if pr != nil {
-			// Attach after Acquire: the pool's Reset detaches slots.
-			p.SetProgress(pr, every)
-		}
-		r := p.RunCtx(ctx, c.gen(w), w.Name, "base")
-		cpu.Release(p)
-		c.mu.Lock()
-		delete(c.inflight, key)
-		if !r.Aborted {
-			c.baselines[key] = r
-		}
-		c.mu.Unlock()
-		close(ch)
-		return r
-	}
-}
-
-// EngineFactory builds a fresh engine per run (engines are stateful and
-// single-threaded).
-type EngineFactory func(workloadSeed uint64) cpu.Engine
-
-// RunOneCtx simulates workload w with a fresh engine under ctx;
-// cancellation aborts the run within one check interval.
-func (c *Context) RunOneCtx(ctx context.Context, w trace.Workload, config string, mk EngineFactory) stats.Run {
-	return c.RunEngineCtx(ctx, w, config, mk(c.EngineSeed(w)))
+	sim := c.baselineOf(spec.Sim{Machine: m, Workload: spec.WorkloadSpec{Name: w.Name}})
+	return c.run(ctx, sim, pr, nil, every).Merged
 }
 
 // EngineSeed returns the per-workload engine seed derived from the
-// context seed — the seed RunOneCtx hands to its factory. Exposed so
-// callers that need to keep the engine (e.g. to inspect per-component
-// statistics after the run) can build it themselves.
+// context seed. Exposed so callers that need to keep the engine (e.g.
+// to inspect per-component statistics after the run) can build it
+// themselves.
 func (c *Context) EngineSeed(w trace.Workload) uint64 {
-	return core.SplitMix64(c.seed ^ hashName(w.Name))
+	return c.EngineSeedLabel(w.Name)
 }
 
-// RunEngineCtx simulates workload w with the supplied engine under ctx
-// on the Table III machine. The engine must be fresh (engines are
-// stateful and single-threaded). Pipelines come from the package pool,
-// so repeated runs reuse the hierarchy, branch predictors, and
-// scheduling rings.
-func (c *Context) RunEngineCtx(ctx context.Context, w trace.Workload, config string, eng cpu.Engine) stats.Run {
-	return c.RunEngineCfgCtx(ctx, w, config, eng, cpu.DefaultConfig())
-}
-
-// RunEngineCfgCtx is RunEngineCtx with an explicit core configuration
-// (e.g. one materialized from a spec.MachineSpec).
+// RunEngineCfgCtx simulates workload w with the supplied engine under
+// ctx on core configuration cfg (e.g. one materialized from a
+// spec.MachineSpec). The engine must be fresh (engines are stateful and
+// single-threaded). Pipelines come from the package pool, so repeated
+// runs reuse the hierarchy, branch predictors, and scheduling rings.
+// The run is not memoized.
 func (c *Context) RunEngineCfgCtx(ctx context.Context, w trace.Workload, config string, eng cpu.Engine, cfg cpu.Config) stats.Run {
 	return c.RunEngineCfgProgressCtx(ctx, w, config, eng, cfg, nil, 0)
 }
@@ -243,44 +285,56 @@ func (c *Context) RunEngineCfgCtx(ctx context.Context, w trace.Workload, config 
 // per-component telemetry) into pr every `every` instructions. Pass a
 // nil pr for no probe; every <= 0 selects cpu.DefaultProgressInterval.
 func (c *Context) RunEngineCfgProgressCtx(ctx context.Context, w trace.Workload, config string, eng cpu.Engine, cfg cpu.Config, pr *cpu.Progress, every int) stats.Run {
+	return c.runStream(ctx, w.Name, config, eng, cfg, pr, every)
+}
+
+// runStream simulates one stream on a single-context pipeline.
+func (c *Context) runStream(ctx context.Context, stream, config string, eng cpu.Engine, cfg cpu.Config, pr *cpu.Progress, every int) stats.Run {
 	p := cpu.Acquire(cfg, eng)
 	defer cpu.Release(p)
 	if pr != nil {
 		// Attach after Acquire: the pool's Reset detaches slots.
 		p.SetProgress(pr, every)
 	}
-	return p.RunCtx(ctx, c.gen(w), w.Name, config)
+	return p.RunCtx(ctx, c.gen(stream), stream, config)
 }
 
-// gen returns the instruction source for one run of w: a cursor over
-// the shared recorded artifact when the context has a trace store
+// gen returns the instruction source for one run of a stream: a cursor
+// over the shared recorded artifact when the context has a trace store
 // (repeat runs replay one recording instead of regenerating the
-// stream), a fresh live generator otherwise. A store failure falls
-// back to live generation — a trace cache must never fail a run.
-func (c *Context) gen(w trace.Workload) trace.Generator {
+// stream), a fresh live generator otherwise. A store failure falls back
+// to live generation — a trace cache must never fail a run. The stream
+// name must resolve (callers run validated specs); unknown streams
+// panic.
+func (c *Context) gen(stream string) trace.Generator {
 	if c.traces != nil {
-		if cur, err := c.traces.Cursor(w.Name, c.insts); err == nil {
+		if cur, err := c.traces.Cursor(stream, c.insts); err == nil {
 			return cur
 		}
 	}
-	return w.Build(c.insts)
+	g, ok := trace.BuildStream(stream, c.insts)
+	if !ok {
+		panic("expt: unknown stream " + stream)
+	}
+	return g
 }
 
-// PerWorkload runs the engine configuration on every pool workload in
+// Runs simulates sim's predictor and machine on every pool workload in
 // parallel and returns per-workload (run, baseline) pairs in pool
-// order.
-func (c *Context) PerWorkload(config string, mk EngineFactory) []Pair {
-	return c.PerWorkloadCtx(context.Background(), config, mk)
-}
-
-// PerWorkloadCtx is PerWorkload under a context: cancelling ctx aborts
-// the in-flight simulations and marks their pairs' runs Aborted.
-func (c *Context) PerWorkloadCtx(ctx context.Context, config string, mk EngineFactory) []Pair {
+// order, the baseline on sim's machine. The pool supplies the
+// workloads and the context the budget and seed; sim's workload and run
+// sections are ignored. A multi-context machine runs each workload as a
+// homogeneous mix, as lvpd does, and pairs its machine-wide runs. Every
+// run comes from the memo, so figures that share a configuration
+// simulate it once.
+func (c *Context) Runs(sim spec.Sim) []Pair {
 	out := make([]Pair, len(c.pool))
 	c.forEach(func(i int, w trace.Workload) {
-		base := c.BaselineCtx(ctx, w)
-		run := c.RunOneCtx(ctx, w, config, mk)
-		out[i] = Pair{Workload: w.Name, Run: run, Base: base}
+		one := sim
+		one.Workload = spec.WorkloadSpec{Name: w.Name}
+		base := c.run(context.Background(), c.baselineOf(one), nil, nil, 0)
+		run := c.run(context.Background(), c.canonical(one), nil, nil, 0)
+		out[i] = Pair{Workload: w.Name, Run: run.Merged, Base: base.Merged, Comp: run.comp}
 	})
 	return out
 }
@@ -290,6 +344,10 @@ type Pair struct {
 	Workload string
 	Run      stats.Run
 	Base     stats.Run
+
+	// Comp is the composite predictor's statistics over the run (zero
+	// for other predictor families).
+	Comp core.CompositeStats
 }
 
 // Speedup returns the pair's speedup percentage.
@@ -330,10 +388,10 @@ func Summarize(pairs []Pair) Aggregate {
 	}
 }
 
-// AvgSpeedup runs a configuration over the pool and returns the
-// aggregate speedup.
-func (c *Context) AvgSpeedup(config string, mk EngineFactory) float64 {
-	return Summarize(c.PerWorkload(config, mk)).Speedup
+// summary runs predictor p on the Table III machine over the pool and
+// aggregates the pairs.
+func (c *Context) summary(p spec.PredictorSpec) Aggregate {
+	return Summarize(c.Runs(spec.Sim{Predictor: p}))
 }
 
 // forEach fans f out over the pool with the context's parallelism.
@@ -361,93 +419,56 @@ func hashName(s string) uint64 {
 	return h
 }
 
-// Engine factories used across experiments. All of them delegate to
-// the spec registry (internal/spec), the single place that maps
-// predictor descriptions to engines — epoch-based machinery (M-AM,
-// table fusion) is scaled to the context's run length there.
+// The predictor points of the evaluation, spelled as specs. Engines
+// come from the spec registry (internal/spec), which scales epoch-based
+// machinery (M-AM, table fusion) to the context's run length.
 
-// Factory builds an engine factory for a normalized predictor spec.
-// It is the one bridge from declarative specs to runnable engines; the
-// convenience factories below are thin wrappers over it.
-func (c *Context) Factory(p spec.PredictorSpec) EngineFactory {
-	return func(seed uint64) cpu.Engine {
-		eng, err := spec.NewEngine(p, c.insts, seed)
-		if err != nil {
-			// Unreachable for specs built by the wrappers below;
-			// services validate untrusted specs before reaching here.
-			panic("expt: " + err.Error())
-		}
-		return eng
-	}
-}
-
-// CompositeFactory builds a composite engine factory (AM/fusion epochs
-// scaled to the context's run length).
-func (c *Context) CompositeFactory(entries [core.NumComponents]int, am spec.AMMode, smart, fusion bool) EngineFactory {
-	return c.Factory(spec.PredictorSpec{
+// composite is a composite predictor with the given sizing and
+// optimizations.
+func composite(entries [core.NumComponents]int, am spec.AMMode, smart, fusion bool) spec.PredictorSpec {
+	return spec.PredictorSpec{
 		Family:        spec.FamilyComposite,
 		Entries:       entries,
 		AM:            am,
 		SmartTraining: smart,
 		Fusion:        fusion,
-	})
-}
-
-// SingleFactory builds an engine with one component predictor of the
-// given size (Figure 3's configurations).
-func (c *Context) SingleFactory(comp core.Component, entries int) EngineFactory {
-	var e [core.NumComponents]int
-	e[comp] = entries
-	return c.CompositeFactory(e, spec.AMNone, false, false)
-}
-
-// EVESFactory builds an EVES engine with the given budget (0 =
-// infinite).
-func EVESFactory(budgetKB int) EngineFactory {
-	return func(seed uint64) cpu.Engine {
-		// BudgetKB passes through un-normalized, so 0 keeps its legacy
-		// "infinite" meaning here (spec.Normalize would read 0 as "use
-		// the 32KB default").
-		eng, err := spec.NewEngine(spec.PredictorSpec{Family: spec.FamilyEVES, BudgetKB: budgetKB}, 0, seed)
-		if err != nil {
-			panic("expt: " + err.Error())
-		}
-		return eng
 	}
 }
 
-// BestComposite is the best-performing optimized composite used by
-// Figures 10-12: PC-AM(64) throttling, heterogeneous sizing, and table
-// fusion. Smart training is evaluated separately (Figures 7-8) but is
-// excluded here: under this substrate's phase structure it reduced
-// performance (see EXPERIMENTS.md), and the paper's "maximum benefit"
-// configuration is whichever optimization set wins.
-func (c *Context) BestComposite(entries [core.NumComponents]int) EngineFactory {
-	return c.CompositeFactory(entries, spec.AMPC, false, true)
+// componentFamilies maps each component to its single-component
+// predictor family.
+var componentFamilies = [core.NumComponents]spec.Family{
+	core.CompLVP: spec.FamilyLVP,
+	core.CompSAP: spec.FamilySAP,
+	core.CompCVP: spec.FamilyCVP,
+	core.CompCAP: spec.FamilyCAP,
+}
+
+// single is one component predictor of the given size on its own
+// (Figure 3's configurations).
+func single(comp core.Component, entries int) spec.PredictorSpec {
+	return spec.PredictorSpec{Family: componentFamilies[comp], EntriesPer: entries}
+}
+
+// bestComposite is the best-performing optimized composite used by Figures
+// 10-12: PC-AM(64) throttling, heterogeneous sizing, and table fusion
+// (the spec's "best" family). Smart training is evaluated separately
+// (Figures 7-8) but is excluded here: under this substrate's phase
+// structure it reduced performance (see EXPERIMENTS.md), and the
+// paper's "maximum benefit" configuration is whichever optimization set
+// wins.
+func bestComposite(entries [core.NumComponents]int) spec.PredictorSpec {
+	return spec.PredictorSpec{Family: spec.FamilyBest, Entries: entries}
+}
+
+// evesAt is EVES at the given storage budget; -1 is unbounded (0 would
+// normalize to the 32KB default).
+func evesAt(budgetKB int) spec.PredictorSpec {
+	return spec.PredictorSpec{Family: spec.FamilyEVES, BudgetKB: budgetKB}
 }
 
 // CompositeStorageKB computes the storage of a composite configuration
 // without building predictors for a run.
 func CompositeStorageKB(entries [core.NumComponents]int) float64 {
 	return spec.StorageKB(spec.PredictorSpec{Family: spec.FamilyComposite, Entries: entries})
-}
-
-// RunSim runs a full normalized spec — predictor and machine — over
-// the pool in parallel and returns per-workload pairs against the
-// spec's machine's own baseline. The instruction budget and seed come
-// from the context, not the spec's workload/run sections; config
-// labels the runs.
-func (c *Context) RunSim(sim spec.Sim, config string) []Pair {
-	mk := c.Factory(sim.Predictor)
-	cfg := sim.Machine.Config()
-	out := make([]Pair, len(c.pool))
-	c.forEach(func(i int, w trace.Workload) {
-		base := c.BaselineMachineCtx(context.Background(), w, sim.Machine)
-		run := base
-		if sim.Predictor.Family != spec.FamilyNone {
-			run = c.RunEngineCfgCtx(context.Background(), w, config, mk(c.EngineSeed(w)), cfg)
-		}
-		out[i] = Pair{Workload: w.Name, Run: run, Base: base}
-	})
-	return out
 }

@@ -6,9 +6,21 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/spec"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
+
+// baseline returns w's Table III baseline from c's memo.
+func baseline(c *Context, w trace.Workload) stats.Run {
+	return c.BaselineMachineCtx(context.Background(), w, spec.MachineSpec{})
+}
+
+// baselineKey is the memo key of w's Table III baseline.
+func baselineKey(c *Context, w trace.Workload) string {
+	return c.baselineOf(spec.Sim{Workload: spec.WorkloadSpec{Name: w.Name}}).CanonicalHash()
+}
 
 func TestSummarizeEmptyNonNil(t *testing.T) {
 	if Summarize([]Pair{}) != (Aggregate{}) {
@@ -96,7 +108,7 @@ func TestBaselineSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i] = c.Baseline(w)
+			results[i] = baseline(c, w)
 		}(i)
 	}
 	wg.Wait()
@@ -105,7 +117,7 @@ func TestBaselineSingleflight(t *testing.T) {
 			t.Fatalf("caller %d got a different baseline: %+v vs %+v", i, results[i], results[0])
 		}
 	}
-	if !c.HasBaseline(w.Name) {
+	if !c.HasBaselineMachine(w.Name, spec.MachineSpec{}) {
 		t.Fatal("baseline not cached after concurrent calls")
 	}
 }
@@ -116,13 +128,13 @@ func TestBaselineSingleflight(t *testing.T) {
 func TestBaselineWaitsForInflight(t *testing.T) {
 	c := NewContext(Options{Insts: 20_000})
 	w := c.Pool()[0]
-	ch := make(chan struct{})
+	e := &memoEntry{done: make(chan struct{})}
 	c.mu.Lock()
-	c.inflight[w.Name] = ch
+	c.memo[baselineKey(c, w)] = e
 	c.mu.Unlock()
 
 	got := make(chan stats.Run, 1)
-	go func() { got <- c.BaselineCtx(context.Background(), w) }()
+	go func() { got <- baseline(c, w) }()
 	select {
 	case r := <-got:
 		t.Fatalf("second caller did not wait for the in-flight run; got %+v", r)
@@ -131,10 +143,9 @@ func TestBaselineWaitsForInflight(t *testing.T) {
 
 	want := stats.Run{Workload: w.Name, Config: "base", Instructions: 42, Cycles: 21}
 	c.mu.Lock()
-	c.baselines[w.Name] = want
-	delete(c.inflight, w.Name)
+	e.res.Merged, e.ok = want, true
 	c.mu.Unlock()
-	close(ch)
+	close(e.done)
 
 	if r := <-got; r != want {
 		t.Fatalf("waiter recomputed instead of using the cached run: %+v", r)
@@ -145,11 +156,11 @@ func TestBaselineCtxCancelledWaiter(t *testing.T) {
 	c := NewContext(Options{Insts: 20_000})
 	w := c.Pool()[0]
 	c.mu.Lock()
-	c.inflight[w.Name] = make(chan struct{}) // never closed
+	c.memo[baselineKey(c, w)] = &memoEntry{done: make(chan struct{})} // never closed
 	c.mu.Unlock()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r := c.BaselineCtx(ctx, w)
+	r := c.BaselineMachineCtx(ctx, w, spec.MachineSpec{})
 	if !r.Aborted {
 		t.Fatalf("cancelled waiter returned a non-aborted run: %+v", r)
 	}
@@ -160,35 +171,69 @@ func TestBaselineAbortedNotCached(t *testing.T) {
 	w := c.Pool()[0]
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r := c.BaselineCtx(ctx, w)
+	r := c.BaselineMachineCtx(ctx, w, spec.MachineSpec{})
 	if !r.Aborted {
 		t.Fatal("baseline under a cancelled context not aborted")
 	}
-	if c.HasBaseline(w.Name) {
+	if c.HasBaselineMachine(w.Name, spec.MachineSpec{}) {
 		t.Fatal("aborted baseline was cached")
 	}
 	// A later call with a live context simulates and caches normally.
-	r2 := c.Baseline(w)
+	r2 := baseline(c, w)
 	if r2.Aborted || r2.Instructions == 0 {
 		t.Fatalf("recovery run after abort looks wrong: %+v", r2)
 	}
-	if !c.HasBaseline(w.Name) {
+	if !c.HasBaselineMachine(w.Name, spec.MachineSpec{}) {
 		t.Fatal("complete baseline not cached")
 	}
 }
 
-func TestPerWorkloadCtxCancelled(t *testing.T) {
-	c := NewContext(Options{Insts: 500_000, Workloads: sampleNames(3)})
+// TestSMTBaselineCancelledNotMemoized: a multi-context baseline under a
+// cancelled context returns promptly marked Aborted, stays out of the
+// memo, and a later live call simulates it in full.
+func TestSMTBaselineCancelledNotMemoized(t *testing.T) {
+	c := NewContext(Options{Insts: 500_000, Workloads: []string{"gcc2k"}})
+	sim := smtSim(t, 2, "gcc2k", "mcf")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	pairs := c.PerWorkloadCtx(ctx, "composite", c.CompositeFactory([4]int{64, 64, 64, 64}, spec.AMNone, false, false))
+	r := c.SMTBaselineCtx(ctx, sim)
 	if el := time.Since(start); el > 10*time.Second {
-		t.Fatalf("cancelled PerWorkloadCtx took %v", el)
+		t.Fatalf("cancelled SMT baseline took %v", el)
 	}
-	for _, p := range pairs {
-		if !p.Run.Aborted {
-			t.Fatalf("pair %q not marked aborted", p.Workload)
+	if !r.Aborted() {
+		t.Fatalf("SMT baseline under a cancelled context not aborted: %+v", r.Merged)
+	}
+	if c.HasSMTBaseline(sim) {
+		t.Fatal("aborted SMT baseline was memoized")
+	}
+	if r := c.SMTBaselineCtx(context.Background(), sim); r.Aborted() || !c.HasSMTBaseline(sim) {
+		t.Fatalf("live SMT baseline not simulated and memoized: %+v", r.Merged)
+	}
+}
+
+// TestRunsMemoizedBySpec: the memo is keyed by the canonical spec, so a
+// second spelling of the same predictor simulates nothing new and
+// returns the same pairs, while a different predictor adds its runs
+// beside the shared baselines.
+func TestRunsMemoizedBySpec(t *testing.T) {
+	c := NewContext(Options{Insts: 10_000, Workloads: []string{"gcc2k", "mcf"}})
+	entries := core.HomogeneousEntries(256)
+	a := c.Runs(spec.Sim{Predictor: bestComposite(entries)})
+	if n := len(c.memo); n != 4 {
+		t.Fatalf("memo holds %d runs after one spec on 2 workloads, want 4", n)
+	}
+	b := c.Runs(spec.Sim{Predictor: composite(entries, spec.AMPC, false, true)})
+	if n := len(c.memo); n != 4 {
+		t.Fatalf("an equivalent spelling grew the memo to %d runs", n)
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Errorf("%s: memoized pair differs", a[i].Workload)
 		}
+	}
+	c.Runs(spec.Sim{Predictor: evesAt(-1)})
+	if n := len(c.memo); n != 6 {
+		t.Fatalf("memo holds %d runs after a second predictor, want 6", n)
 	}
 }

@@ -30,7 +30,7 @@ func sampleNames(n int) []string {
 func TestComponentAccuracyTuning(t *testing.T) {
 	ctx := NewContext(Options{Insts: 60_000, Workloads: sampleNames(12)})
 	for _, comp := range allComponents {
-		a := Summarize(ctx.PerWorkload("acc", ctx.SingleFactory(comp, 1024)))
+		a := ctx.summary(single(comp, 1024))
 		if a.Accuracy < 0.99 {
 			t.Errorf("%v accuracy = %.4f, want >= 0.99", comp, a.Accuracy)
 		}
@@ -45,9 +45,9 @@ func TestComponentAccuracyTuning(t *testing.T) {
 // complementarity result).
 func TestCompositeCoverageExceedsComponents(t *testing.T) {
 	ctx := NewContext(Options{Insts: 60_000, Workloads: sampleNames(12)})
-	compAgg := Summarize(ctx.PerWorkload("comp", ctx.CompositeFactory(core.HomogeneousEntries(256), spec.AMPC, false, false)))
+	compAgg := ctx.summary(composite(core.HomogeneousEntries(256), spec.AMPC, false, false))
 	for _, comp := range allComponents {
-		a := Summarize(ctx.PerWorkload("single", ctx.SingleFactory(comp, 1024)))
+		a := ctx.summary(single(comp, 1024))
 		if compAgg.Coverage <= a.Coverage {
 			t.Errorf("composite coverage %.1f%% <= %v coverage %.1f%%", compAgg.Coverage, comp, a.Coverage)
 		}
@@ -60,8 +60,8 @@ func TestCompositeCoverageExceedsComponents(t *testing.T) {
 func TestCompositeBeatsEVES(t *testing.T) {
 	ctx := NewContext(Options{Insts: 60_000, Workloads: sampleNames(12)})
 	_, big := fig11Configs()
-	comp := Summarize(ctx.PerWorkload("comp", ctx.BestComposite(big)))
-	ev := Summarize(ctx.PerWorkload("eves", EVESFactory(32)))
+	comp := ctx.summary(bestComposite(big))
+	ev := ctx.summary(evesAt(32))
 	if comp.Coverage < 1.5*ev.Coverage {
 		t.Errorf("composite coverage %.1f%% < 1.5 × EVES %.1f%%", comp.Coverage, ev.Coverage)
 	}

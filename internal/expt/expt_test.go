@@ -166,18 +166,20 @@ func TestContextDefaults(t *testing.T) {
 func TestBaselineCached(t *testing.T) {
 	ctx := tinyCtx()
 	w := ctx.Pool()[0]
-	a := ctx.Baseline(w)
-	b := ctx.Baseline(w)
+	a := baseline(ctx, w)
+	b := baseline(ctx, w)
 	if a != b {
 		t.Error("baseline cache returned different runs")
 	}
 }
 
+// TestPerWorkloadOrderAndDeterminism runs one spec on two fresh
+// Contexts: on one Context the memo would hand back the same runs.
 func TestPerWorkloadOrderAndDeterminism(t *testing.T) {
 	ctx := tinyCtx()
-	mk := ctx.CompositeFactory(core.HomogeneousEntries(64), spec.AMPC, false, false)
-	a := ctx.PerWorkload("det", mk)
-	b := ctx.PerWorkload("det", mk)
+	sim := spec.Sim{Predictor: composite(core.HomogeneousEntries(64), spec.AMPC, false, false)}
+	a := ctx.Runs(sim)
+	b := tinyCtx().Runs(sim)
 	if len(a) != len(ctx.Pool()) {
 		t.Fatalf("pairs = %d", len(a))
 	}
@@ -185,7 +187,7 @@ func TestPerWorkloadOrderAndDeterminism(t *testing.T) {
 		if a[i].Workload != ctx.Pool()[i].Name {
 			t.Errorf("pair %d out of order", i)
 		}
-		if a[i].Run != b[i].Run {
+		if a[i].Run != b[i].Run || a[i].Base != b[i].Base || a[i].Comp != b[i].Comp {
 			t.Errorf("%s: non-deterministic run", a[i].Workload)
 		}
 	}
@@ -211,8 +213,8 @@ func TestFig6OrderingOnSample(t *testing.T) {
 	// The AM ordering (PC-AM >= no-AM accuracy) must hold even on a
 	// small sample.
 	ctx := NewContext(Options{Insts: 40_000, Workloads: sampleNames(6)})
-	noAM := Summarize(ctx.PerWorkload("a", ctx.CompositeFactory(core.HomogeneousEntries(256), spec.AMNone, false, false)))
-	pcAM := Summarize(ctx.PerWorkload("b", ctx.CompositeFactory(core.HomogeneousEntries(256), spec.AMPC, false, false)))
+	noAM := ctx.summary(composite(core.HomogeneousEntries(256), spec.AMNone, false, false))
+	pcAM := ctx.summary(composite(core.HomogeneousEntries(256), spec.AMPC, false, false))
 	if pcAM.Accuracy < noAM.Accuracy {
 		t.Errorf("PC-AM accuracy %.4f < no-AM %.4f", pcAM.Accuracy, noAM.Accuracy)
 	}

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/cpu"
 	"repro/internal/oracle"
 	"repro/internal/spec"
 	"repro/internal/trace"
@@ -80,7 +79,7 @@ func Fig3(ctx *Context) Result {
 	for i, size := range componentSizes {
 		vals[i] = make([]float64, len(allComponents))
 		for j, comp := range allComponents {
-			sp := ctx.AvgSpeedup(fmt.Sprintf("%v-%d", comp, size), ctx.SingleFactory(comp, size))
+			sp := ctx.summary(single(comp, size)).Speedup
 			vals[i][j] = sp
 			if sp > maxSp {
 				maxSp = sp
@@ -114,34 +113,11 @@ func componentNames() []string {
 	return names
 }
 
-// compositeAggregate runs a composite configuration over the pool and
-// sums the per-workload composite statistics. Predictors are built
-// through the spec registry, so epoch-based machinery (M-AM, fusion)
-// is scaled to the run length exactly as in the factory-driven
-// experiments — this path previously built unscaled paper-epoch
-// monitors and diverged from Context.CompositeFactory.
-func (c *Context) compositeAggregate(config string, entries [core.NumComponents]int, am spec.AMMode, smart, fusion bool) (core.CompositeStats, []Pair) {
+// compositeStats sums the pairs' composite statistics.
+func compositeStats(pairs []Pair) core.CompositeStats {
 	var agg core.CompositeStats
-	pairs := make([]Pair, len(c.pool))
-	comps := make([]*core.Composite, len(c.pool))
-	ps := spec.PredictorSpec{
-		Family:        spec.FamilyComposite,
-		Entries:       entries,
-		AM:            am,
-		SmartTraining: smart,
-		Fusion:        fusion,
-	}
-	c.forEach(func(i int, w trace.Workload) {
-		base := c.Baseline(w)
-		comp := core.NewComposite(spec.CompositeConfig(ps, c.insts, core.SplitMix64(c.seed^hashName(w.Name))))
-		p := cpu.Acquire(cpu.DefaultConfig(), cpu.NewCompositeEngine(comp))
-		run := p.Run(w.Build(c.insts), w.Name, config)
-		cpu.Release(p)
-		pairs[i] = Pair{Workload: w.Name, Run: run, Base: base}
-		comps[i] = comp
-	})
-	for _, comp := range comps {
-		st := comp.Stats()
+	for _, p := range pairs {
+		st := p.Comp
 		agg.Probes += st.Probes
 		agg.PredictedLoads += st.PredictedLoads
 		agg.UsedPredictions += st.UsedPredictions
@@ -159,13 +135,13 @@ func (c *Context) compositeAggregate(config string, entries [core.NumComponents]
 			agg.IncorrectBy[k] += st.IncorrectBy[k]
 		}
 	}
-	return agg, pairs
+	return agg
 }
 
 // Fig4 reports how many components are simultaneously confident per
 // predicted load for the 1K-entry composite (paper Figure 4).
 func Fig4(ctx *Context) Result {
-	st, _ := ctx.compositeAggregate("fig4", core.HomogeneousEntries(1024), spec.AMNone, false, false)
+	st := compositeStats(ctx.Runs(spec.Sim{Predictor: composite(core.HomogeneousEntries(1024), spec.AMNone, false, false)}))
 	t := &table{header: []string{"Bucket", "% of predicted loads"}}
 	denom := float64(st.PredictedLoads)
 	if denom == 0 {
@@ -189,11 +165,10 @@ func Fig4(ctx *Context) Result {
 func Fig5(ctx *Context) Result {
 	t := &table{header: []string{"Total entries", "Composite", "Best component", "Composite vs best"}}
 	for _, total := range compositeTotals {
-		comp := ctx.AvgSpeedup(fmt.Sprintf("comp-%d", total),
-			ctx.CompositeFactory(core.HomogeneousEntries(total/4), spec.AMNone, false, false))
+		comp := ctx.summary(composite(core.HomogeneousEntries(total/4), spec.AMNone, false, false)).Speedup
 		best, bestName := -1e9, ""
 		for _, c := range allComponents {
-			sp := ctx.AvgSpeedup(fmt.Sprintf("%v-%d", c, total), ctx.SingleFactory(c, total))
+			sp := ctx.summary(single(c, total)).Speedup
 			if sp > best {
 				best, bestName = sp, c.String()
 			}
@@ -217,8 +192,7 @@ func Fig6(ctx *Context) Result {
 		{"composite + PC-AM(64)", spec.AMPC},
 		{"composite + PC-AM(inf)", spec.AMPCInf},
 	} {
-		pairs := ctx.PerWorkload("fig6-"+cfg.name, ctx.CompositeFactory(entries, cfg.am, false, false))
-		a := Summarize(pairs)
+		a := ctx.summary(composite(entries, cfg.am, false, false))
 		t.add(cfg.name, pct(a.Speedup), pctu(a.Coverage), fmt.Sprintf("%.4f", a.Accuracy))
 	}
 	return Result{ID: "Fig6", Title: "Accuracy monitor throttling (1K-entry composite)", Lines: t.lines()}
@@ -234,7 +208,7 @@ func Fig7(ctx *Context) Result {
 			name  string
 			smart bool
 		}{{"train-all", false}, {"smart", true}} {
-			st, _ := ctx.compositeAggregate(fmt.Sprintf("fig7-%d-%s", total, mode.name), entries, spec.AMPC, mode.smart, false)
+			st := compositeStats(ctx.Runs(spec.Sim{Predictor: composite(entries, spec.AMPC, mode.smart, false)}))
 			denom := float64(st.PredictedLoads)
 			if denom == 0 {
 				denom = 1
@@ -260,8 +234,8 @@ func Fig8(ctx *Context) Result {
 	t := &table{header: []string{"Total entries", "Train-all", "Smart training", "Delta"}}
 	for _, total := range compositeTotals {
 		entries := core.HomogeneousEntries(total / 4)
-		off := ctx.AvgSpeedup(fmt.Sprintf("fig8-off-%d", total), ctx.CompositeFactory(entries, spec.AMPC, false, false))
-		on := ctx.AvgSpeedup(fmt.Sprintf("fig8-on-%d", total), ctx.CompositeFactory(entries, spec.AMPC, true, false))
+		off := ctx.summary(composite(entries, spec.AMPC, false, false)).Speedup
+		on := ctx.summary(composite(entries, spec.AMPC, true, false)).Speedup
 		t.add(fmt.Sprint(total), pct(off), pct(on), pct(on-off))
 	}
 	return Result{ID: "Fig8", Title: "Speedup from smart training", Lines: t.lines()}
@@ -273,8 +247,8 @@ func Fig9(ctx *Context) Result {
 	t := &table{header: []string{"Total entries", "No fusion", "Fusion", "Delta"}}
 	for _, total := range compositeTotals {
 		entries := core.HomogeneousEntries(total / 4)
-		off := ctx.AvgSpeedup(fmt.Sprintf("fig9-off-%d", total), ctx.CompositeFactory(entries, spec.AMPC, true, false))
-		on := ctx.AvgSpeedup(fmt.Sprintf("fig9-on-%d", total), ctx.CompositeFactory(entries, spec.AMPC, true, true))
+		off := ctx.summary(composite(entries, spec.AMPC, true, false)).Speedup
+		on := ctx.summary(composite(entries, spec.AMPC, true, true)).Speedup
 		t.add(fmt.Sprint(total), pct(off), pct(on), pct(on-off))
 	}
 	return Result{ID: "Fig9", Title: "Speedup from table fusion", Lines: t.lines()}
@@ -294,14 +268,14 @@ func Fig10(ctx *Context) Result {
 	for _, total := range totals {
 		entries := winners[total]
 		kb := CompositeStorageKB(entries)
-		comp := ctx.AvgSpeedup(fmt.Sprintf("fig10-comp-%d", total), ctx.BestComposite(entries))
+		comp := ctx.summary(bestComposite(entries)).Speedup
 		best, bestName := -1e9, ""
 		for _, c := range allComponents {
 			// Size the lone component to the same storage budget.
 			bits := kb * 8192
 			per := componentBits(c)
 			n := pow2Floor(int(bits) / per)
-			sp := ctx.AvgSpeedup(fmt.Sprintf("fig10-%v-%d", c, total), ctx.SingleFactory(c, n))
+			sp := ctx.summary(single(c, n)).Speedup
 			if sp > best {
 				best, bestName = sp, c.String()
 			}
@@ -352,21 +326,20 @@ func fig11Configs() (small, big [core.NumComponents]int) {
 func Fig11(ctx *Context) Result {
 	small, big := fig11Configs()
 	t := &table{header: []string{"Predictor", "Storage", "Speedup", "Coverage", "Accuracy"}}
-	type cfg struct {
+	cfgs := []struct {
 		name    string
 		storage string
-		mk      EngineFactory
-	}
-	cfgs := []cfg{
-		{"Composite", fmt.Sprintf("%.1fKB", CompositeStorageKB(small)), ctx.BestComposite(small)},
-		{"Composite", fmt.Sprintf("%.1fKB", CompositeStorageKB(big)), ctx.BestComposite(big)},
-		{"EVES", "8KB", EVESFactory(8)},
-		{"EVES", "32KB", EVESFactory(32)},
-		{"EVES", "inf", EVESFactory(0)},
+		pred    spec.PredictorSpec
+	}{
+		{"Composite", fmt.Sprintf("%.1fKB", CompositeStorageKB(small)), bestComposite(small)},
+		{"Composite", fmt.Sprintf("%.1fKB", CompositeStorageKB(big)), bestComposite(big)},
+		{"EVES", "8KB", evesAt(8)},
+		{"EVES", "32KB", evesAt(32)},
+		{"EVES", "inf", evesAt(-1)},
 	}
 	aggs := make([]Aggregate, len(cfgs))
 	for i, c := range cfgs {
-		aggs[i] = Summarize(ctx.PerWorkload("fig11-"+c.name+c.storage, c.mk))
+		aggs[i] = ctx.summary(c.pred)
 		t.add(c.name, c.storage, pct(aggs[i].Speedup), pctu(aggs[i].Coverage), fmt.Sprintf("%.4f", aggs[i].Accuracy))
 	}
 	// Relative comparison (Figure 11b / 12 headline numbers).
@@ -392,8 +365,8 @@ func Fig11(ctx *Context) Result {
 // the 9.6KB composite against 32KB EVES (paper Figure 12).
 func Fig12(ctx *Context) Result {
 	_, big := fig11Configs()
-	comp := ctx.PerWorkload("fig12-composite", ctx.BestComposite(big))
-	ev := ctx.PerWorkload("fig12-eves", EVESFactory(32))
+	comp := ctx.Runs(spec.Sim{Predictor: bestComposite(big)})
+	ev := ctx.Runs(spec.Sim{Predictor: evesAt(32)})
 
 	t := &table{header: []string{"Workload", "Comp speedup", "EVES speedup", "Comp coverage", "EVES coverage"}}
 	compWins, evesWins := 0, 0

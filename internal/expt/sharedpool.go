@@ -28,7 +28,7 @@ func SharedPool(ctx *Context) Result {
 		}).StorageKB()
 	}
 	directKB := storageKB(0)
-	dir := Summarize(ctx.PerWorkload("pool-direct", ctx.Factory(poolSpec(0))))
+	dir := ctx.summary(poolSpec(0))
 
 	t := &table{header: []string{"Configuration", "Storage", "Saved", "Speedup", "Coverage", "Accuracy"}}
 	t.add("direct value arrays", fmt.Sprintf("%.2fKB", directKB), "-",
@@ -36,7 +36,7 @@ func SharedPool(ctx *Context) Result {
 
 	for _, slots := range []int{16, 48, 128, 256} {
 		kb := storageKB(slots)
-		a := Summarize(ctx.PerWorkload(fmt.Sprintf("pool-%d", slots), ctx.Factory(poolSpec(slots))))
+		a := ctx.summary(poolSpec(slots))
 		t.add(fmt.Sprintf("shared pool, %d slots", slots),
 			fmt.Sprintf("%.2fKB", kb),
 			fmt.Sprintf("%.1f%%", 100*(1-kb/directKB)),

@@ -14,10 +14,10 @@ import (
 // one independently-seeded instruction stream per hardware context on a
 // single pipeline whose predictors, caches, and TLBs are shared (see
 // DESIGN.md §14); the result is the machine-wide merged run plus the
-// per-context runs. Baselines are cached like single-context baselines:
-// the machine hash covers the context count and interleave policy, and
-// the key covers the workload mix, so an SMT baseline can never collide
-// with a single-context one.
+// per-context runs. Baselines share the context's memo with
+// single-context ones: the spec hash covers the context count,
+// interleave policy and workload mix, so an SMT baseline can never
+// collide with a single-context one.
 
 // SMTResult couples the merged run of a multi-context simulation with
 // its per-context runs (context i's run at Per[i]).
@@ -30,34 +30,17 @@ type SMTResult struct {
 func (r SMTResult) Aborted() bool { return r.Merged.Aborted }
 
 // EngineSeedLabel returns the engine seed for a workload-mix label,
-// derived from the context seed exactly like EngineSeed derives
-// per-workload seeds. A homogeneous mix's label is the bare workload
-// name, so a 1-context SMT run seeds identically to the plain run.
+// derived from the context seed. A homogeneous mix's label is the bare
+// workload name, so a 1-context SMT run seeds identically to the plain
+// run.
 func (c *Context) EngineSeedLabel(label string) uint64 {
 	return core.SplitMix64(c.seed ^ hashName(label))
-}
-
-// genStream returns the instruction source for one context's stream:
-// a cursor over the shared recorded artifact when the context has a
-// trace store, a live generator otherwise. The stream name must resolve
-// (callers run validated specs); unknown streams panic.
-func (c *Context) genStream(stream string, insts uint64) trace.Generator {
-	if c.traces != nil {
-		if cur, err := c.traces.Cursor(stream, insts); err == nil {
-			return cur
-		}
-	}
-	g, ok := trace.BuildStream(stream, insts)
-	if !ok {
-		panic("expt: unknown stream " + stream)
-	}
-	return g
 }
 
 // RunSMTCtx simulates a normalized multi-context spec with the supplied
 // fresh engine and returns the merged and per-context runs. The
 // instruction budget is the context's per-context budget; config labels
-// every run.
+// every run. The run is not memoized.
 func (c *Context) RunSMTCtx(ctx context.Context, sim spec.Sim, config string, eng cpu.Engine) SMTResult {
 	return c.RunSMTProgressCtx(ctx, sim, config, eng, nil, nil, 0)
 }
@@ -69,7 +52,7 @@ func (c *Context) RunSMTProgressCtx(ctx context.Context, sim spec.Sim, config st
 	streams := sim.ContextStreams()
 	gens := make([]trace.Generator, len(streams))
 	for i, s := range streams {
-		gens[i] = c.genStream(s, c.insts)
+		gens[i] = c.gen(s)
 	}
 	p := cpu.Acquire(sim.Machine.Config(), eng)
 	defer cpu.Release(p)
@@ -89,19 +72,16 @@ func (c *Context) RunSMTProgressCtx(ctx context.Context, sim spec.Sim, config st
 }
 
 // HasSMTBaseline reports whether the spec's (mix, machine) baseline is
-// already cached.
+// already memoized.
 func (c *Context) HasSMTBaseline(sim spec.Sim) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.smtBaselines[baselineKey(sim.WorkloadLabel(), sim.Machine)]
-	return ok
+	return c.memoized(c.baselineOf(sim))
 }
 
-// SMTBaselineCtx simulates (or returns the cached) no-VP run of the
+// SMTBaselineCtx simulates (or returns the memoized) no-VP run of the
 // spec's workload mix on the spec's machine. Like single-context
 // baselines, each (mix, machine) pair is simulated at most once, with
 // concurrent callers waiting on the in-flight run, and aborted runs are
-// returned but never cached.
+// returned but never memoized.
 func (c *Context) SMTBaselineCtx(ctx context.Context, sim spec.Sim) SMTResult {
 	return c.SMTBaselineProgressCtx(ctx, sim, nil, nil, 0)
 }
@@ -109,34 +89,5 @@ func (c *Context) SMTBaselineCtx(ctx context.Context, sim spec.Sim) SMTResult {
 // SMTBaselineProgressCtx is SMTBaselineCtx with live progress slots,
 // published only when this caller ends up simulating the baseline.
 func (c *Context) SMTBaselineProgressCtx(ctx context.Context, sim spec.Sim, pr *cpu.Progress, rows []*cpu.Progress, every int) SMTResult {
-	key := baselineKey(sim.WorkloadLabel(), sim.Machine)
-	for {
-		c.mu.Lock()
-		if r, ok := c.smtBaselines[key]; ok {
-			c.mu.Unlock()
-			return r
-		}
-		if ch, ok := c.inflight[key]; ok {
-			c.mu.Unlock()
-			select {
-			case <-ch:
-				continue // re-check the cache; the run may have aborted
-			case <-ctx.Done():
-				return SMTResult{Merged: stats.Run{Workload: sim.WorkloadLabel(), Config: "base", Aborted: true}}
-			}
-		}
-		ch := make(chan struct{})
-		c.inflight[key] = ch
-		c.mu.Unlock()
-
-		r := c.RunSMTProgressCtx(ctx, sim, "base", nil, pr, rows, every)
-		c.mu.Lock()
-		delete(c.inflight, key)
-		if !r.Aborted() {
-			c.smtBaselines[key] = r
-		}
-		c.mu.Unlock()
-		close(ch)
-		return r
-	}
+	return c.run(ctx, c.baselineOf(sim), pr, rows, every).SMTResult
 }

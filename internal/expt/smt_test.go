@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/cpu"
 	"repro/internal/spec"
 	"repro/internal/trace"
 )
@@ -24,9 +25,14 @@ func smtSim(t *testing.T, contexts int, names ...string) spec.Sim {
 func TestRunSMTDeterministicAcrossTraceSources(t *testing.T) {
 	sim := smtSim(t, 2, "gcc2k", "mcf")
 	c := NewContext(Options{Insts: 10_000, Workloads: []string{"gcc2k"}})
-	mk := c.Factory(sim.Predictor)
-	seed := c.EngineSeedLabel(sim.WorkloadLabel())
-	live := c.RunSMTCtx(context.Background(), sim, "smt", mk(seed))
+	mk := func() cpu.Engine {
+		eng, err := spec.NewEngine(sim.Predictor, c.Insts(), c.EngineSeedLabel(sim.WorkloadLabel()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	live := c.RunSMTCtx(context.Background(), sim, "smt", mk())
 
 	// The same spec replayed from recorded artifacts must match.
 	store, err := trace.NewArtifactStore(t.TempDir(), 0)
@@ -34,7 +40,7 @@ func TestRunSMTDeterministicAcrossTraceSources(t *testing.T) {
 		t.Fatal(err)
 	}
 	ct := NewContext(Options{Insts: 10_000, Workloads: []string{"gcc2k"}, Traces: store})
-	replayed := ct.RunSMTCtx(context.Background(), sim, "smt", mk(seed))
+	replayed := ct.RunSMTCtx(context.Background(), sim, "smt", mk())
 	if live.Merged != replayed.Merged {
 		t.Fatalf("artifact-replayed SMT run diverged:\n got: %+v\nwant: %+v", replayed.Merged, live.Merged)
 	}
@@ -59,7 +65,7 @@ func TestSMTBaselineCachedPerMixAndMachine(t *testing.T) {
 	// The single-context baseline of the same workload must live under a
 	// different key — the SMT baseline's contention must not leak into it.
 	w, _ := trace.ByName("gcc2k")
-	solo := c.Baseline(w)
+	solo := baseline(c, w)
 	if solo == a.Merged {
 		t.Error("single-context baseline equals the 2-context merged baseline")
 	}
@@ -71,5 +77,34 @@ func TestSMTBaselineCachedPerMixAndMachine(t *testing.T) {
 	d := c.SMTBaselineCtx(context.Background(), sim4)
 	if d.Merged == a.Merged {
 		t.Error("4-context baseline collided with the 2-context cache entry")
+	}
+}
+
+// TestRunsMultiContextMatchesSMT: a multi-context spec over the pool
+// runs each workload as a homogeneous mix through the SMT path, as lvpd
+// does, so its pairs are the merged runs of RunSMTCtx against
+// SMTBaselineCtx, not context 0 of a single-stream run.
+func TestRunsMultiContextMatchesSMT(t *testing.T) {
+	names := []string{"a2time", "gcc2k"}
+	pairs := NewContext(Options{Insts: 5_000, Workloads: names}).Runs(spec.Sim{Machine: spec.MachineSpec{Contexts: 2}})
+	ref := NewContext(Options{Insts: 5_000, Workloads: names})
+	for i, name := range names {
+		sim, _, err := spec.Sim{
+			Machine:  spec.MachineSpec{Contexts: 2},
+			Workload: spec.WorkloadSpec{Name: name},
+		}.Canonical(spec.Defaults{Insts: ref.Insts(), Seed: ref.Seed()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := spec.NewEngine(sim.Predictor, ref.Insts(), ref.EngineSeedLabel(sim.WorkloadLabel()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := ref.RunSMTCtx(context.Background(), sim, string(sim.Predictor.Family), eng)
+		base := ref.SMTBaselineCtx(context.Background(), sim)
+		if p := pairs[i]; p.Workload != name || p.Run != run.Merged || p.Base != base.Merged {
+			t.Errorf("%s: Runs pair diverges from the SMT path:\n run %+v\nwant %+v\n base %+v\nwant %+v",
+				name, p.Run, run.Merged, p.Base, base.Merged)
+		}
 	}
 }

@@ -74,11 +74,14 @@ func TestSpecGoldenParity(t *testing.T) {
 		if err := sim.ValidateConfig(); err != nil {
 			t.Fatalf("%s: spec does not validate: %v", name, err)
 		}
-		mkSpec := ctx.Factory(sim.Predictor)
 		for _, w := range ctx.Pool() {
 			seed := ctx.EngineSeed(w)
+			eng, err := spec.NewEngine(sim.Predictor, insts, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
 			want := runOnce(ctx, w, name, mkLegacy(seed))
-			got := runOnce(ctx, w, name, mkSpec(seed))
+			got := runOnce(ctx, w, name, eng)
 			if want != got {
 				t.Errorf("%s/%s: spec path diverges from the frozen pre-spec construction:\nlegacy %+v\nspec   %+v",
 					name, w.Name, want, got)
@@ -88,8 +91,8 @@ func TestSpecGoldenParity(t *testing.T) {
 }
 
 // runOnce simulates one (workload, engine) run on the Table III machine
-// outside the pipeline pool's engine-factory plumbing, so both sides of
-// the parity check go through the identical code path.
+// outside the Context's memo, so both sides of the parity check go
+// through the identical code path.
 func runOnce(ctx *Context, w trace.Workload, config string, eng cpu.Engine) stats.Run {
 	p := cpu.Acquire(cpu.DefaultConfig(), eng)
 	defer cpu.Release(p)

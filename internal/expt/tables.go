@@ -154,7 +154,7 @@ func TableVI(ctx *Context) Result {
 		var homog HetConfig
 		homogEntries := core.HomogeneousEntries(bucket / 4)
 		for _, entries := range combos {
-			sp := ctx.AvgSpeedup(fmt.Sprintf("het%v", entries), ctx.CompositeFactory(entries, spec.AMPC, false, false))
+			sp := ctx.summary(composite(entries, spec.AMPC, false, false)).Speedup
 			hc := HetConfig{Entries: entries, Speedup: sp}
 			if sp > best.Speedup {
 				best = hc

@@ -2,11 +2,7 @@ package store
 
 import (
 	"bufio"
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -122,41 +118,13 @@ func OpenFlightStore(dir string, maxLive int) (*FlightStore, error) {
 }
 
 func (fs *FlightStore) load() (total int, good int64, err error) {
-	f, err := os.Open(fs.path)
-	if os.IsNotExist(err) {
-		return 0, 0, nil
-	}
-	if err != nil {
-		return 0, 0, fmt.Errorf("store: opening flight store: %w", err)
-	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 64<<10)
-	var hdr [frameHeader]byte
-	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			break
-		}
-		n := binary.LittleEndian.Uint32(hdr[0:4])
-		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		if n == 0 || n > maxRecordBytes {
-			break
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			break
-		}
-		if crc32.Checksum(payload, crcTable) != sum {
-			break
-		}
-		var rec FlightRecord
-		if err := json.Unmarshal(payload, &rec); err != nil || rec.JobID == "" {
-			break
+	return readFrames(fs.path, func(rec FlightRecord) bool {
+		if rec.JobID == "" {
+			return false
 		}
 		fs.insert(rec)
-		total++
-		good += frameHeader + int64(n)
-	}
-	return total, good, nil
+		return true
+	})
 }
 
 func (fs *FlightStore) insert(rec FlightRecord) {
@@ -183,7 +151,7 @@ func (fs *FlightStore) compact() error {
 	}
 	bw := bufio.NewWriterSize(f, 64<<10)
 	for _, id := range fs.order {
-		if err := writeFlightFramed(bw, fs.index[id]); err != nil {
+		if _, err := writeFrame(bw, fs.index[id]); err != nil {
 			f.Close()
 			return err
 		}
@@ -203,23 +171,6 @@ func (fs *FlightStore) compact() error {
 		return fmt.Errorf("store: installing compacted flight store: %w", err)
 	}
 	fs.dead = 0
-	return nil
-}
-
-func writeFlightFramed(bw *bufio.Writer, rec FlightRecord) error {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("store: encoding flight record: %w", err)
-	}
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return fmt.Errorf("store: flight write: %w", err)
-	}
-	if _, err := bw.Write(payload); err != nil {
-		return fmt.Errorf("store: flight write: %w", err)
-	}
 	return nil
 }
 
@@ -244,7 +195,7 @@ func (fs *FlightStore) Put(rec FlightRecord) error {
 	if _, existed := fs.index[rec.JobID]; existed {
 		fs.dead++
 	}
-	if err := writeFlightFramed(fs.bw, rec); err != nil {
+	if _, err := writeFrame(fs.bw, rec); err != nil {
 		return err
 	}
 	if err := fs.bw.Flush(); err != nil {

@@ -18,6 +18,7 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -134,11 +135,13 @@ func OpenWAL(dir string, opts WALOptions) (*WAL, []Event, error) {
 	var events []Event
 	for _, n := range segs {
 		path := filepath.Join(dir, segmentName(n))
-		evs, good, err := replaySegment(path)
+		_, good, err := readFrames(path, func(ev Event) bool {
+			events = append(events, ev)
+			return true
+		})
 		if err != nil {
 			return nil, nil, err
 		}
-		events = append(events, evs...)
 		// Only the last segment may legitimately carry a torn tail;
 		// truncate it away so appends continue from a clean frame edge.
 		if n == segs[len(segs)-1] {
@@ -182,42 +185,64 @@ func (w *WAL) openSegment(n int, appendTo bool) error {
 	return nil
 }
 
-// replaySegment decodes one segment, returning its events and the byte
-// offset of the end of the last intact record.
-func replaySegment(path string) ([]Event, int64, error) {
+// readFrames decodes the frames of the file at path, oldest first,
+// handing each decoded record to each. It stops at the first torn,
+// CRC-corrupt or undecodable frame, or where each rejects a record, and
+// returns the number of records taken and the byte offset of the end of
+// the last of them. A missing file holds no records.
+func readFrames[T any](path string, each func(T) bool) (n int, good int64, err error) {
 	f, err := os.Open(path)
+	if os.IsNotExist(err) {
+		return 0, 0, nil
+	}
 	if err != nil {
-		return nil, 0, fmt.Errorf("store: opening wal segment: %w", err)
+		return 0, 0, fmt.Errorf("store: %w", err)
 	}
 	defer f.Close()
 	r := bufio.NewReaderSize(f, 64<<10)
-	var events []Event
-	var good int64
 	var hdr [frameHeader]byte
 	for {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			break // EOF or torn header
 		}
-		n := binary.LittleEndian.Uint32(hdr[0:4])
-		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		if n == 0 || n > maxRecordBytes {
+		size := binary.LittleEndian.Uint32(hdr[0:4])
+		if size == 0 || size > maxRecordBytes {
 			break // corrupt length
 		}
-		payload := make([]byte, n)
+		payload := make([]byte, size)
 		if _, err := io.ReadFull(r, payload); err != nil {
 			break // torn payload
 		}
-		if crc32.Checksum(payload, crcTable) != sum {
+		if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(hdr[4:8]) {
 			break // corrupt payload
 		}
-		var ev Event
-		if err := json.Unmarshal(payload, &ev); err != nil {
-			break // framed but undecodable: treat as tail corruption
+		var rec T
+		if json.Unmarshal(payload, &rec) != nil || !each(rec) {
+			break // framed but undecodable or invalid: treat as tail corruption
 		}
-		events = append(events, ev)
-		good += frameHeader + int64(n)
+		n++
+		good += frameHeader + int64(size)
 	}
-	return events, good, nil
+	return n, good, nil
+}
+
+// writeFrame writes v to w as one frame (its JSON encoding behind the
+// length and CRC header) and returns the frame's size in bytes.
+func writeFrame(w io.Writer, v any) (int, error) {
+	payload, err := json.Marshal(v)
+	if err != nil {
+		return 0, fmt.Errorf("store: encoding record: %w", err)
+	}
+	var hdr [frameHeader]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
+	if _, err := w.Write(hdr[:]); err != nil {
+		return 0, fmt.Errorf("store: write: %w", err)
+	}
+	if _, err := w.Write(payload); err != nil {
+		return 0, fmt.Errorf("store: write: %w", err)
+	}
+	return frameHeader + len(payload), nil
 }
 
 // truncateTo clips a segment to size when it carries bytes past the
@@ -236,28 +261,16 @@ func truncateTo(path string, size int64) error {
 	return nil
 }
 
-// frame encodes one event as a CRC-framed record.
-func frame(ev Event) ([]byte, error) {
-	payload, err := json.Marshal(ev)
-	if err != nil {
-		return nil, fmt.Errorf("store: encoding wal event: %w", err)
-	}
-	buf := make([]byte, frameHeader+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(payload, crcTable))
-	copy(buf[frameHeader:], payload)
-	return buf, nil
-}
-
 // Append writes ev and returns once it is durable (flushed and fsynced).
 // Batches form naturally under concurrency: every appender that arrives
 // while one fsync is in flight is covered by the next, so N concurrent
 // appends cost far fewer than N disk syncs.
 func (w *WAL) Append(ev Event) error {
-	buf, err := frame(ev)
-	if err != nil {
+	var frame bytes.Buffer
+	if _, err := writeFrame(&frame, ev); err != nil {
 		return err
 	}
+	buf := frame.Bytes()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
@@ -385,14 +398,11 @@ func (w *WAL) Compact(live []Event) error {
 		return err
 	}
 	for _, ev := range live {
-		buf, err := frame(ev)
+		n, err := writeFrame(w.bw, ev)
 		if err != nil {
 			return err
 		}
-		if _, err := w.bw.Write(buf); err != nil {
-			return fmt.Errorf("store: wal write during compaction: %w", err)
-		}
-		w.segBytes += int64(len(buf))
+		w.segBytes += int64(n)
 	}
 	if err := w.bw.Flush(); err != nil {
 		return fmt.Errorf("store: wal flush during compaction: %w", err)

@@ -2,11 +2,8 @@ package store
 
 import (
 	"bufio"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -87,41 +84,13 @@ func OpenWarehouse(dir string) (*Warehouse, error) {
 // load scans the file into the index, returning the record count and
 // the offset of the end of the last intact record.
 func (w *Warehouse) load() (total int, good int64, err error) {
-	f, err := os.Open(w.path)
-	if os.IsNotExist(err) {
-		return 0, 0, nil
-	}
-	if err != nil {
-		return 0, 0, fmt.Errorf("store: opening warehouse: %w", err)
-	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 64<<10)
-	var hdr [frameHeader]byte
-	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			break
-		}
-		n := binary.LittleEndian.Uint32(hdr[0:4])
-		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		if n == 0 || n > maxRecordBytes {
-			break
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			break
-		}
-		if crc32.Checksum(payload, crcTable) != sum {
-			break
-		}
-		var rec RunRecord
-		if err := json.Unmarshal(payload, &rec); err != nil || rec.SpecHash == "" {
-			break
+	return readFrames(w.path, func(rec RunRecord) bool {
+		if rec.SpecHash == "" {
+			return false
 		}
 		w.insert(rec)
-		total++
-		good += frameHeader + int64(n)
-	}
-	return total, good, nil
+		return true
+	})
 }
 
 // insert places rec in the index, tracking insertion order.
@@ -142,7 +111,7 @@ func (w *Warehouse) compact() error {
 	}
 	bw := bufio.NewWriterSize(f, 64<<10)
 	for _, hash := range w.order {
-		if err := writeFramed(bw, w.index[hash]); err != nil {
+		if _, err := writeFrame(bw, w.index[hash]); err != nil {
 			f.Close()
 			return err
 		}
@@ -165,23 +134,6 @@ func (w *Warehouse) compact() error {
 	return nil
 }
 
-func writeFramed(bw *bufio.Writer, rec RunRecord) error {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("store: encoding warehouse record: %w", err)
-	}
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return fmt.Errorf("store: warehouse write: %w", err)
-	}
-	if _, err := bw.Write(payload); err != nil {
-		return fmt.Errorf("store: warehouse write: %w", err)
-	}
-	return nil
-}
-
 // Put stores rec as the live result for its spec hash, durably
 // (flushed and fsynced) before returning. Re-putting a hash supersedes
 // the previous record.
@@ -200,7 +152,7 @@ func (w *Warehouse) Put(rec RunRecord) error {
 	if _, existed := w.index[rec.SpecHash]; existed {
 		w.dead++
 	}
-	if err := writeFramed(w.bw, rec); err != nil {
+	if _, err := writeFrame(w.bw, rec); err != nil {
 		return err
 	}
 	if err := w.bw.Flush(); err != nil {
