@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/branch"
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/eves"
@@ -316,6 +317,49 @@ func TestReplayedPooledRunMatchesFresh(t *testing.T) {
 			}
 		}
 		cpu.Release(p)
+	}
+}
+
+// BenchmarkBranchTAGE measures the TAGE conditional branch predictor
+// alone: Predict then Update for every conditional branch of the
+// 50k-instruction gcc2k recording, under the global history the
+// pipeline hands it, from a reset predictor each iteration. The
+// single-context pipeline benchmarks above rewind one recording, so
+// from their second run (the warmup is the first) they replay its
+// branch outcomes and no longer time TAGE; this benchmark keeps TAGE in
+// the ledger. MB/s reads as millions of branches per second.
+func BenchmarkBranchTAGE(b *testing.B) {
+	type cond struct {
+		pc, hist uint64
+		taken    bool
+	}
+	w, _ := trace.ByName("gcc2k")
+	rep := trace.Record(w.Build(benchPipelineInsts), 0, 0)
+	var conds []cond
+	var h branch.History
+	var in trace.Inst
+	for rep.Next(&in) {
+		if !in.IsBranch() {
+			continue
+		}
+		if in.Op == trace.OpBranch {
+			conds = append(conds, cond{in.PC, h.Global, in.Taken})
+		}
+		h.Update(in.PC, in.Op != trace.OpBranch || in.Taken)
+	}
+	if len(conds) == 0 {
+		b.Fatal("recording has no conditional branches")
+	}
+	tage := branch.NewTAGE(cpu.DefaultConfig().TAGE)
+	b.SetBytes(int64(len(conds)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tage.Reset()
+		for _, c := range conds {
+			tage.Predict(c.pc, c.hist)
+			tage.Update(c.pc, c.hist, c.taken)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package cpu
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/branch"
@@ -211,6 +212,13 @@ type ctxSlice struct {
 	// allocation per run.
 	in trace.Inst
 
+	// Branch outcomes of a single-context run over a recording (see
+	// beginOutcomes): brKnown holds the mispredict bits the run replays
+	// instead of predicting, brSeen collects them for publication. At
+	// most one is set, and only for the run's duration.
+	brKnown []uint64
+	brSeen  []uint64
+
 	// Interleaved-run cursor state (RunSMT).
 	seq        uint64
 	lastCommit uint64
@@ -308,6 +316,11 @@ type Pipeline struct {
 
 	runGen uint64 // current run generation; ring records from other runs are dead
 
+	// branchFresh reports that TAGE, ITTAGE and the RAS are untouched
+	// since build or Reset, the state a recording's branch outcomes are
+	// computed from.
+	branchFresh bool
+
 	// Reusable address resolver: trainOne parameterizes the closure via
 	// cur's trainSeq/trainProbeC fields instead of allocating a fresh
 	// closure per training.
@@ -360,6 +373,7 @@ func (p *Pipeline) build(cfg Config, engine Engine) {
 		p.ctxs[i+1] = &p.extra[i]
 	}
 	p.cur = &p.one
+	p.branchFresh = true
 	if p.resolve == nil {
 		p.resolve = func(addr uint64, size uint8) (uint64, bool) {
 			s := p.cur
@@ -421,6 +435,7 @@ func (p *Pipeline) Reset(cfg Config, engine Engine) {
 		p.engine = engine
 	}
 	p.cur = &p.one
+	p.branchFresh = true
 	p.runGen++ // retire all ring records without clearing 256KB
 	p.instretBatch = 0
 	p.progress, p.progEvery, p.progLeft, p.progStart = nil, 0, 0, 0
@@ -554,9 +569,16 @@ func (p *Pipeline) Run(gen trace.Generator, workload, config string) stats.Run {
 // interval with Aborted set and metrics covering the simulated prefix.
 // RunCtx always simulates context 0, regardless of cfg.Contexts — use
 // RunSMT to drive every context.
+//
+// A run over a recording may replay the recording's branch outcomes
+// instead of predicting them, or publish the outcomes it predicted for
+// later runs (see beginOutcomes); the returned metrics are the same
+// either way.
 func (p *Pipeline) RunCtx(ctx context.Context, gen trace.Generator, workload, config string) stats.Run {
 	s := &p.one
 	p.cur = s
+	fresh := p.branchFresh
+	p.branchFresh = false
 	// The simulator's memory image starts equal to the workload's: the
 	// backing fill function is shared via Clone, and stores are applied
 	// as they execute. A reused pipeline copies into its existing image
@@ -581,6 +603,11 @@ func (p *Pipeline) RunCtx(ctx context.Context, gen trace.Generator, workload, co
 		// per-instruction interface dispatch, no 64-byte copy into the
 		// scratch slot. Identical control flow to the generic loop below.
 		insts := sl.Remaining()
+		rec, _ := gen.(*trace.Replay)
+		var held *trace.BranchOutcomes
+		if rec != nil && fresh && rec.Pos() == 0 {
+			held = p.beginOutcomes(s, rec, len(insts))
+		}
 		for seq < uint64(len(insts)) {
 			if done != nil && seq%cancelCheckInterval == 0 {
 				select {
@@ -606,6 +633,10 @@ func (p *Pipeline) RunCtx(ctx context.Context, gen trace.Generator, workload, co
 			}
 		}
 		sl.Advance(int(seq))
+		if s.brSeen != nil && !s.run.Aborted {
+			p.publishOutcomes(s, rec, held, len(insts))
+		}
+		s.brKnown, s.brSeen = nil, nil
 	} else {
 		for {
 			if done != nil && seq%cancelCheckInterval == 0 {
@@ -675,6 +706,9 @@ func (p *Pipeline) RunSMTCtx(ctx context.Context, gens []trace.Generator, worklo
 	if len(gens) != len(p.ctxs) {
 		panic(fmt.Sprintf("cpu: RunSMT: %d generators for a %d-context pipeline", len(gens), len(p.ctxs)))
 	}
+	// The contexts share TAGE, ITTAGE and the RAS, so their outcomes
+	// depend on the interleaving: RunSMT always predicts live.
+	p.branchFresh = false
 	for i, s := range p.ctxs {
 		if s.simMem == nil {
 			s.simMem = gens[i].Mem().Clone()
@@ -764,6 +798,48 @@ func (p *Pipeline) RunSMTCtx(ctx context.Context, gens []trace.Generator, worklo
 	return merged
 }
 
+// beginOutcomes sets up how context s's run over the first n
+// instructions of rec treats branches, and returns the slot's contents
+// at run start. On a fresh pipeline TAGE, ITTAGE and the RAS see only
+// this stream, so whether each branch is mispredicted depends on the
+// instructions and the branch configuration alone. The run therefore
+// replays the recording's published outcomes when they were computed
+// under this configuration and cover at least n instructions; it
+// collects its own for publication when the slot is empty or holds
+// this configuration's outcomes for a shorter prefix; otherwise it
+// predicts live and leaves the slot alone.
+func (p *Pipeline) beginOutcomes(s *ctxSlice, rec *trace.Replay, n int) *trace.BranchOutcomes {
+	held := rec.BranchOutcomes()
+	switch {
+	case held == nil:
+		s.brSeen = make([]uint64, (n+63)/64)
+	case !held.TAGE.Equal(p.cfg.TAGE) || !held.ITTAGE.Equal(p.cfg.ITTAGE) || held.RASSize != p.cfg.RASSize:
+	case n <= held.Len:
+		s.brKnown = held.Mispredicted
+	default:
+		s.brSeen = make([]uint64, (n+63)/64)
+	}
+	return held
+}
+
+// publishOutcomes offers the outcomes context s collected over the
+// first n instructions of rec to later runs. It replaces held, what
+// the slot held at run start; if another run published in between,
+// that publication stands.
+func (p *Pipeline) publishOutcomes(s *ctxSlice, rec *trace.Replay, held *trace.BranchOutcomes, n int) {
+	o := &trace.BranchOutcomes{
+		TAGE:         p.cfg.TAGE,
+		ITTAGE:       p.cfg.ITTAGE,
+		RASSize:      p.cfg.RASSize,
+		Len:          n,
+		Mispredicted: s.brSeen,
+	}
+	// The configuration's history lengths are the caller's slices.
+	o.TAGE.HistoryLens = slices.Clone(o.TAGE.HistoryLens)
+	o.ITTAGE.HistoryLens = slices.Clone(o.ITTAGE.HistoryLens)
+	rec.PublishBranchOutcomes(held, o)
+}
+
 // step processes one of context s's instructions through every pipeline
 // stage and returns its commit cycle.
 func (p *Pipeline) step(s *ctxSlice, seq uint64, in *trace.Inst) uint64 {
@@ -817,7 +893,7 @@ func (p *Pipeline) step(s *ctxSlice, seq uint64, in *trace.Inst) uint64 {
 	// ---- Branch prediction (front end) ----
 	brMispred := false
 	if in.IsBranch() {
-		brMispred = p.predictBranch(s, in)
+		brMispred = p.predictBranch(s, seq, in)
 	}
 
 	// ---- Value prediction probe (fetch stage, Figure 1 step 1) ----
@@ -1010,7 +1086,11 @@ func (p *Pipeline) step(s *ctxSlice, seq uint64, in *trace.Inst) uint64 {
 	}
 	s.commitUsed++
 
-	s.ring[seq&s.ringMask] = slotTiming{seq: seq, run: p.runGen, issueC: issueC, execDone: execDone, commitC: cc}
+	// Assigned field by field: a composite literal would be built on
+	// the stack and copied in, and the copy's 16-byte load cannot be
+	// forwarded from the two 8-byte stores that built it.
+	r := &s.ring[seq&s.ringMask]
+	r.seq, r.run, r.issueC, r.execDone, r.commitC = seq, p.runGen, issueC, execDone, cc
 	switch in.Op {
 	case trace.OpLoad:
 		s.loadRing[s.nLoads%uint64(len(s.loadRing))] = loadStoreTiming{seq: seq, commitC: cc}
@@ -1159,8 +1239,14 @@ func (p *Pipeline) probeRead(s *ctxSlice, addr uint64, size uint8, loadSeq, prob
 // The TAGE/ITTAGE tables and the RAS are shared across contexts (each
 // context keeps its own history registers): cross-context aliasing in
 // the tables — and RAS corruption under interleaved call/return streams
-// — is part of the SMT contention model.
-func (p *Pipeline) predictBranch(s *ctxSlice, in *trace.Inst) bool {
+// — is part of the SMT contention model. A run replaying a recording's
+// outcomes reads the bit and only advances the histories; a run
+// collecting them records the bit.
+func (p *Pipeline) predictBranch(s *ctxSlice, seq uint64, in *trace.Inst) bool {
+	if s.brKnown != nil {
+		s.hist.Update(in.PC, in.Op != trace.OpBranch || in.Taken)
+		return s.brKnown[seq>>6]&(1<<(seq&63)) != 0
+	}
 	mispred := false
 	switch in.Op {
 	case trace.OpBranch:
@@ -1181,6 +1267,9 @@ func (p *Pipeline) predictBranch(s *ctxSlice, in *trace.Inst) bool {
 		p.ittage.Update(in.PC, s.hist.Global, in.Target)
 		mispred = predTarget != in.Target
 		s.hist.Update(in.PC, true)
+	}
+	if mispred && s.brSeen != nil {
+		s.brSeen[seq>>6] |= 1 << (seq & 63)
 	}
 	return mispred
 }

@@ -22,7 +22,7 @@ type Predictor struct {
 	ssit   []uint32 // 0 = no set; otherwise set ID
 	mask   uint64
 	nextID uint32
-	lfst   map[uint32]lfstEntry // last fetched store per set
+	lfst   []lfstEntry // last fetched store per set, indexed by set ID
 	stats  Stats
 }
 
@@ -43,10 +43,13 @@ func New(cfg Config) *Predictor {
 	if n <= 0 || n&(n-1) != 0 {
 		panic("memdep: SSIT entries must be a positive power of two")
 	}
+	// Violation creates a set ID only when both SSIT slots are zero
+	// and sets at least one of them, and no slot returns to zero before
+	// Reset, so IDs run from 1 to at most n.
 	return &Predictor{
 		ssit: make([]uint32, n),
 		mask: uint64(n - 1),
-		lfst: make(map[uint32]lfstEntry),
+		lfst: make([]lfstEntry, n+1),
 	}
 }
 
@@ -72,8 +75,8 @@ func (p *Predictor) StoreExecuted(storePC, seq uint64) {
 	if id == 0 {
 		return
 	}
-	if e, ok := p.lfst[id]; ok && e.valid && e.seq == seq {
-		delete(p.lfst, id)
+	if e := &p.lfst[id]; e.valid && e.seq == seq {
+		*e = lfstEntry{}
 	}
 }
 
@@ -84,8 +87,8 @@ func (p *Predictor) LoadDependence(loadPC uint64) (storeSeq uint64, ok bool) {
 	if id == 0 {
 		return 0, false
 	}
-	e, exists := p.lfst[id]
-	if !exists || !e.valid {
+	e := p.lfst[id]
+	if !e.valid {
 		return 0, false
 	}
 	p.stats.Dependences++
@@ -120,7 +123,7 @@ func (p *Predictor) StatsSnapshot() Stats { return p.stats }
 // Reset clears all predictor state.
 func (p *Predictor) Reset() {
 	clear(p.ssit)
-	clear(p.lfst) // keep the map's storage for pooled reuse
+	clear(p.lfst[:p.nextID+1]) // entries past nextID were never written
 	p.nextID = 0
 	p.stats = Stats{}
 }

@@ -2,7 +2,9 @@ package trace
 
 import (
 	"slices"
+	"sync/atomic"
 
+	"repro/internal/branch"
 	"repro/internal/mem"
 )
 
@@ -17,6 +19,26 @@ type Replay struct {
 	insts []Inst
 	mem   *mem.Backing
 	pos   int
+
+	// branches is the recording's branch-outcome slot, shared by every
+	// cursor over it (see BranchOutcomes).
+	branches *atomic.Pointer[BranchOutcomes]
+}
+
+// BranchOutcomes is what a branch predictor made of the first Len
+// instructions of a recording: one mispredict bit per instruction,
+// computed under the configuration it names. A single-context run's
+// branch outcomes depend only on the instruction stream and the branch
+// configuration, so the pipeline computes them on a recording's first
+// run and replays them on later ones (DESIGN.md §8). Published outcomes
+// are read-only.
+type BranchOutcomes struct {
+	TAGE    branch.TAGEConfig
+	ITTAGE  branch.ITTAGEConfig
+	RASSize int
+
+	Len          int      // instructions covered, from the first
+	Mispredicted []uint64 // bit i%64 of word i/64: instruction i mispredicted
 }
 
 // maxHintAhead bounds how far Record's size hint may run ahead of the
@@ -39,7 +61,7 @@ func Record(gen Generator, limit, sizeHint uint64) *Replay {
 	if limit > 0 && sizeHint > limit {
 		sizeHint = limit
 	}
-	r := &Replay{mem: gen.Mem().Clone()}
+	r := &Replay{mem: gen.Mem().Clone(), branches: new(atomic.Pointer[BranchOutcomes])}
 	var in Inst
 	for (limit == 0 || uint64(len(r.insts)) < limit) && gen.Next(&in) {
 		if n := uint64(len(r.insts)); n == uint64(cap(r.insts)) && n < sizeHint {
@@ -82,7 +104,7 @@ func (r *Replay) Rewind() { r.pos = 0 }
 // Both arguments are captured, not copied — the caller must not mutate
 // them afterwards (the same read-only contract Cursor documents).
 func NewReplay(insts []Inst, image *mem.Backing) *Replay {
-	return &Replay{insts: insts, mem: image}
+	return &Replay{insts: insts, mem: image, branches: new(atomic.Pointer[BranchOutcomes])}
 }
 
 // Cursor returns an independent read position over the same recording.
@@ -92,25 +114,42 @@ func NewReplay(insts []Inst, image *mem.Backing) *Replay {
 // read-only by contract: the slice is never written after Record, and
 // consumers that apply stores do so on their own copy of the image (the
 // pipeline clones or CopyFroms it at Run start; Backing.CopyFrom reads
-// only the source's pages, never its internal read memo).
+// only the source's pages, never its internal read memo). The
+// branch-outcome slot is shared too.
 func (r *Replay) Cursor() *Replay {
-	return &Replay{insts: r.insts, mem: r.mem}
+	return &Replay{insts: r.insts, mem: r.mem, branches: r.branches}
 }
 
 // CursorN returns an independent cursor bounded to the first n
 // instructions of the recording (0 or past-the-end means the whole
 // recording). External workloads resolve Build(n) through this: the
 // registered trace is recorded once and every budget replays a prefix.
+// A prefix shares the recording's branch-outcome slot: outcomes cover
+// instructions from the first, so they serve every shorter run.
 func (r *Replay) CursorN(n uint64) *Replay {
 	insts := r.insts
 	if n > 0 && n < uint64(len(insts)) {
 		insts = insts[:n]
 	}
-	return &Replay{insts: insts, mem: r.mem}
+	return &Replay{insts: insts, mem: r.mem, branches: r.branches}
 }
 
 // Len returns the number of recorded instructions.
 func (r *Replay) Len() int { return len(r.insts) }
+
+// Pos returns how many instructions the cursor has consumed.
+func (r *Replay) Pos() int { return r.pos }
+
+// BranchOutcomes returns the branch outcomes last published for the
+// recording, or nil when none has been.
+func (r *Replay) BranchOutcomes() *BranchOutcomes { return r.branches.Load() }
+
+// PublishBranchOutcomes installs o as the recording's branch outcomes
+// if the slot still holds old (nil for an empty slot) and reports
+// whether it did. Every cursor over the recording sees the result.
+func (r *Replay) PublishBranchOutcomes(old, o *BranchOutcomes) bool {
+	return r.branches.CompareAndSwap(old, o)
+}
 
 // Remaining exposes the not-yet-consumed tail of the recording as a
 // slice, letting batch consumers (the pipeline run loop) walk the
