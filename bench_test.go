@@ -264,7 +264,7 @@ func BenchmarkPipelineSMT4(b *testing.B) {
 	defer cpu.Release(p)
 	b.SetBytes(benchPipelineInsts)
 	b.ReportAllocs()
-	p.RunSMT(gens, streams, "gcc2k x4", "bench") // warmup: clone the per-context memory images
+	p.RunSMT(gens, streams, "gcc2k x4", "bench") // warmup: clone the memory images, fill the mix's outcome slot
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, rep := range reps {
@@ -324,10 +324,11 @@ func TestReplayedPooledRunMatchesFresh(t *testing.T) {
 // alone: Predict then Update for every conditional branch of the
 // 50k-instruction gcc2k recording, under the global history the
 // pipeline hands it, from a reset predictor each iteration. The
-// single-context pipeline benchmarks above rewind one recording, so
-// from their second run (the warmup is the first) they replay its
-// branch outcomes and no longer time TAGE; this benchmark keeps TAGE in
-// the ledger. MB/s reads as millions of branches per second.
+// pipeline benchmarks above rewind their recordings, so from their
+// second run (the warmup is the first) they replay the recordings'
+// branch outcomes, BenchmarkPipelineSMT4 its mix's, and no longer time
+// TAGE; this benchmark keeps TAGE in the ledger. MB/s reads as millions
+// of branches per second.
 func BenchmarkBranchTAGE(b *testing.B) {
 	type cond struct {
 		pc, hist uint64

@@ -109,7 +109,7 @@ func main() {
 			verdict = "REGRESSION"
 			failed = true
 		}
-		fmt.Printf("  %-28s %8.2f ms/op  (ref %.2f, limit %.2f)  %s\n",
+		fmt.Printf("  %-28s %10.4g ms/op  (ref %.4g, limit %.4g)  %s\n",
 			name, gotMs, want.MsPerOp, limit, verdict)
 		if m.haveMem && float64(m.allocsOp) > want.AllocsPerOp {
 			fmt.Printf("  %-28s %8d allocs/op (ref %.0f)  ALLOC REGRESSION\n",

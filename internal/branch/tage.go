@@ -14,7 +14,6 @@ type TAGEConfig struct {
 	TagBits       uint   // partial tag width in tagged tables
 	HistoryLens   []uint // geometric global-history lengths, shortest first
 	UseAltBits    uint   // width of the use-alt-on-newly-allocated counter
-	Seed          uint64
 }
 
 // Equal reports whether two configurations describe the same predictor
@@ -25,7 +24,6 @@ func (c TAGEConfig) Equal(o TAGEConfig) bool {
 		c.TaggedEntries == o.TaggedEntries &&
 		c.TagBits == o.TagBits &&
 		c.UseAltBits == o.UseAltBits &&
-		c.Seed == o.Seed &&
 		slices.Equal(c.HistoryLens, o.HistoryLens)
 }
 
@@ -39,7 +37,6 @@ func DefaultTAGEConfig() TAGEConfig {
 		TagBits:       11,
 		HistoryLens:   []uint{5, 9, 15, 25, 44, 76},
 		UseAltBits:    4,
-		Seed:          0x7A6E,
 	}
 }
 
@@ -58,7 +55,6 @@ type TAGE struct {
 	base   []int8 // 2-bit bimodal counters
 	tables [][]tageEntry
 	useAlt int8
-	rng    rngState
 	stats  Stats
 
 	// last prediction metadata, captured by Predict for Update
@@ -93,17 +89,6 @@ func (s Stats) Rate() float64 {
 	return float64(s.Mispredicts) / float64(s.Lookups)
 }
 
-type rngState uint64
-
-func (r *rngState) next() uint64 {
-	s := uint64(*r)
-	s ^= s >> 12
-	s ^= s << 25
-	s ^= s >> 27
-	*r = rngState(s)
-	return s * 0x2545F4914F6CDD1D
-}
-
 // NewTAGE builds a TAGE predictor from cfg.
 func NewTAGE(cfg TAGEConfig) *TAGE {
 	if cfg.BaseEntries <= 0 || cfg.BaseEntries&(cfg.BaseEntries-1) != 0 {
@@ -112,7 +97,7 @@ func NewTAGE(cfg TAGEConfig) *TAGE {
 	if cfg.TaggedEntries <= 0 || cfg.TaggedEntries&(cfg.TaggedEntries-1) != 0 {
 		panic("branch: tagged entries must be a power of two")
 	}
-	t := &TAGE{cfg: cfg, base: make([]int8, cfg.BaseEntries), rng: rngState(cfg.Seed | 1)}
+	t := &TAGE{cfg: cfg, base: make([]int8, cfg.BaseEntries)}
 	for range cfg.HistoryLens {
 		t.tables = append(t.tables, make([]tageEntry, cfg.TaggedEntries))
 	}

@@ -48,6 +48,21 @@ var goldenEngines = []struct {
 	}},
 }
 
+// profileSample returns one workload per behaviour profile, the first
+// by name other than a2time, followed by a2time, whose first branch
+// mispredictions come earliest.
+func profileSample() []string {
+	seen := map[string]bool{}
+	var names []string
+	for _, w := range trace.Workloads() {
+		if w.Name != "a2time" && !seen[w.Profile] {
+			seen[w.Profile] = true
+			names = append(names, w.Name)
+		}
+	}
+	return append(names, "a2time")
+}
+
 // TestGoldenDifferential pins the refactored (ring-buffer, pooled)
 // pipeline bit-identical to the frozen map-based reference for every
 // workload under baseline, composite, and EVES engines. The refactored
@@ -176,6 +191,36 @@ func TestGoldenBranchOutcomes(t *testing.T) {
 		}
 	})
 
+	// The same at 40k on one workload per profile and a2time, under
+	// every engine. Each run mispredicts, so its replayed bits are not
+	// all zero.
+	t.Run("fill then replay at 40k instructions, one workload per profile", func(t *testing.T) {
+		const n = 40_000
+		for _, eng := range goldenEngines {
+			for _, name := range profileSample() {
+				w, _ := trace.ByName(name)
+				seed := goldenSeed(name)
+				want := newRefPipeline(cfg, eng.mk(seed)).Run(w.Build(n), name, eng.name)
+				rep := trace.Record(w.Build(n), 0, 0)
+				for _, phase := range []string{"filling", "replaying"} {
+					p := Acquire(cfg, eng.mk(seed))
+					got := p.Run(rep.Cursor(), name, eng.name)
+					live := predicted(p)
+					Release(p)
+					if got != want {
+						t.Fatalf("%s/%s: %s run diverged from the reference\n got: %+v\nwant: %+v", eng.name, name, phase, got, want)
+					}
+					if got.BranchFlushes == 0 {
+						t.Fatalf("%s/%s: %s run mispredicts no branch in %d instructions", eng.name, name, phase, n)
+					}
+					if live != (phase == "filling") {
+						t.Fatalf("%s/%s: %s run predicted live = %v", eng.name, name, phase, live)
+					}
+				}
+			}
+		}
+	})
+
 	// Synthetic streams mark every jump, call, return and indirect
 	// branch taken; a converted trace need not. Either way the history
 	// shifts in taken for them, replayed or predicted.
@@ -266,14 +311,22 @@ func TestGoldenBranchOutcomes(t *testing.T) {
 		run(t, cfg, rep.Cursor(), full)
 	})
 
-	t.Run("other TAGE seed predicts live", func(t *testing.T) {
-		rep := trace.Record(w.Build(goldenInsts), 0, 0)
-		run(t, cfg, rep.Cursor(), full)
+	// At 40k instructions the narrower use-alt counter changes which
+	// branches a2time mispredicts, so replaying the default
+	// configuration's outcomes would also change the run.
+	t.Run("other TAGE configuration predicts live", func(t *testing.T) {
+		const n = 40_000
+		rep := trace.Record(w.Build(n), 0, 0)
+		run(t, cfg, rep.Cursor(), ref(cfg, w.Build(n)))
 		o := rep.BranchOutcomes()
-		seeded := DefaultConfig()
-		seeded.TAGE.Seed ^= 1
-		if !run(t, seeded, rep.Cursor(), ref(seeded, w.Build(goldenInsts))) {
-			t.Fatal("a run under another TAGE seed replayed the default configuration's outcomes")
+		other := DefaultConfig()
+		other.TAGE.UseAltBits = 1
+		want := ref(other, w.Build(n))
+		if want == ref(cfg, w.Build(n)) {
+			t.Fatalf("%s runs the same under UseAltBits %d and %d", w.Name, other.TAGE.UseAltBits, cfg.TAGE.UseAltBits)
+		}
+		if !run(t, other, rep.Cursor(), want) {
+			t.Fatal("a run under another TAGE configuration replayed the default configuration's outcomes")
 		}
 		if rep.BranchOutcomes() != o {
 			t.Fatal("a run under another configuration replaced the published outcomes")

@@ -212,14 +212,18 @@ type ctxSlice struct {
 	// allocation per run.
 	in trace.Inst
 
-	// Branch outcomes of a single-context run over a recording (see
-	// beginOutcomes): brKnown holds the mispredict bits the run replays
+	// insts is the not yet consumed part of the context's recording
+	// while an interleaved run walks it in place (see RunSMTCtx).
+	insts []trace.Inst
+
+	// Branch outcomes of a run over recordings (see beginOutcomes and
+	// beginMix): brKnown holds the mispredict bits the run replays
 	// instead of predicting, brSeen collects them for publication. At
 	// most one is set, and only for the run's duration.
 	brKnown []uint64
 	brSeen  []uint64
 
-	// Interleaved-run cursor state (RunSMT).
+	// Interleaved-run cursor state, set up by each RunSMT.
 	seq        uint64
 	lastCommit uint64
 	done       bool
@@ -276,7 +280,6 @@ func (s *ctxSlice) resetRun() {
 	s.paqHead = 0
 	s.trainSeq, s.trainProbeC = 0, 0
 	s.run = stats.Run{}
-	s.seq, s.lastCommit, s.done = 0, 0, false
 	s.progress, s.progLeft = nil, 0
 }
 
@@ -303,11 +306,12 @@ type Pipeline struct {
 	engine Engine
 
 	// one is context 0, embedded so the single-context path keeps its
-	// state inline with the pipeline (and so a fresh Pipeline is usable
-	// without a slice allocation); ctxs lists every context, ctxs[0] ==
-	// &one, with extra providing the backing for contexts 1..N-1.
+	// state inline with the pipeline. built lists every slice built for
+	// this machine, built[0] == &one, and ctxs the current
+	// configuration's contexts, a prefix of built: a configuration with
+	// fewer contexts keeps the rest built for a later, wider one.
 	one   ctxSlice
-	extra []ctxSlice
+	built []*ctxSlice
 	ctxs  []*ctxSlice
 
 	// cur is the context whose instruction is mid-step: the shared
@@ -355,7 +359,8 @@ func contextCount(cfg Config) int {
 	return 1
 }
 
-// build (re)constructs every config-sized structure.
+// build (re)constructs every config-sized structure, dropping the
+// slices built for an earlier configuration.
 func (p *Pipeline) build(cfg Config, engine Engine) {
 	p.cfg = cfg
 	p.hier = mem.NewHierarchy(cfg.Hierarchy)
@@ -363,15 +368,9 @@ func (p *Pipeline) build(cfg Config, engine Engine) {
 	p.ittage = branch.NewITTAGE(cfg.ITTAGE)
 	p.ras = branch.NewRAS(cfg.RASSize)
 	p.engine = engine
-	n := contextCount(cfg)
 	p.one.build(cfg, 0)
-	p.extra = make([]ctxSlice, n-1)
-	p.ctxs = make([]*ctxSlice, n)
-	p.ctxs[0] = &p.one
-	for i := range p.extra {
-		p.extra[i].build(cfg, i+1)
-		p.ctxs[i+1] = &p.extra[i]
-	}
+	p.built = []*ctxSlice{&p.one}
+	p.useContexts(contextCount(cfg))
 	p.cur = &p.one
 	p.branchFresh = true
 	if p.resolve == nil {
@@ -417,18 +416,34 @@ func configEqual(a, b Config) bool {
 		a.SMTQuantum == b.SMTQuantum
 }
 
+// useContexts makes the first n built slices the current contexts,
+// building those not built yet.
+func (p *Pipeline) useContexts(n int) {
+	for len(p.built) < n {
+		s := &ctxSlice{}
+		s.build(p.cfg, len(p.built))
+		p.built = append(p.built, s)
+	}
+	p.ctxs = p.built[:n]
+}
+
 // Reset prepares the pipeline for a fresh run with cfg and engine,
 // reusing every allocation when cfg matches the previous run's
-// configuration. A reset pipeline behaves bit-identically to a newly
-// constructed one.
+// configuration except perhaps in its context count and interleave
+// quantum: only slices for contexts never built before are built. A
+// reset pipeline behaves bit-identically to a newly constructed one.
 func (p *Pipeline) Reset(cfg Config, engine Engine) {
-	if p.hier == nil || !configEqual(cfg, p.cfg) {
+	machine := cfg
+	machine.Contexts, machine.SMTQuantum = p.cfg.Contexts, p.cfg.SMTQuantum
+	if p.hier == nil || !configEqual(machine, p.cfg) {
 		p.build(cfg, engine)
 	} else {
+		p.cfg = cfg
 		p.hier.Reset()
 		p.tage.Reset()
 		p.ittage.Reset()
 		p.ras.Reset()
+		p.useContexts(contextCount(cfg))
 		for _, s := range p.ctxs {
 			s.reset()
 		}
@@ -702,13 +717,20 @@ func (p *Pipeline) RunSMT(gens []trace.Generator, workloads []string, label, con
 // counters, Cycles the maximum per-context commit cycle — labeled with
 // label. Cancellation marks every unfinished context's run (and the
 // merged run) Aborted.
+//
+// When every generator is a recording, the run walks the recordings in
+// place, as RunCtx's slice path does, and advances each cursor by what
+// its context consumed. A run over recordings may also replay a mix's
+// branch outcomes, or publish the outcomes it predicted for later runs
+// of the same mix (see beginMix); the returned metrics are the same
+// either way.
 func (p *Pipeline) RunSMTCtx(ctx context.Context, gens []trace.Generator, workloads []string, label, config string) stats.Run {
 	if len(gens) != len(p.ctxs) {
 		panic(fmt.Sprintf("cpu: RunSMT: %d generators for a %d-context pipeline", len(gens), len(p.ctxs)))
 	}
-	// The contexts share TAGE, ITTAGE and the RAS, so their outcomes
-	// depend on the interleaving: RunSMT always predicts live.
+	fresh := p.branchFresh
 	p.branchFresh = false
+	walk := true
 	for i, s := range p.ctxs {
 		if s.simMem == nil {
 			s.simMem = gens[i].Mem().Clone()
@@ -716,15 +738,26 @@ func (p *Pipeline) RunSMTCtx(ctx context.Context, gens []trace.Generator, worklo
 			s.simMem.CopyFrom(gens[i].Mem())
 		}
 		s.run = stats.Run{Workload: workloads[i], Config: config}
+		s.seq, s.lastCommit, s.done = 0, 0, false
+		if _, ok := gens[i].(instSlicer); !ok {
+			walk = false
+		}
+	}
+	if walk {
+		for i, s := range p.ctxs {
+			s.insts = gens[i].(instSlicer).Remaining()
+		}
+	}
+	var lead *trace.Replay
+	var held *trace.MixOutcomes
+	if fresh {
+		lead, held = p.beginMix(gens)
 	}
 	if p.progress != nil {
 		p.progStart = time.Now().UnixNano()
 		p.progLeft = p.progEvery
 	}
-	quantum := p.cfg.SMTQuantum
-	if quantum <= 0 {
-		quantum = 1
-	}
+	quantum := p.smtQuantum()
 	done := ctx.Done()
 	var total, checkAt uint64
 	aborted := false
@@ -748,12 +781,21 @@ func (p *Pipeline) RunSMTCtx(ctx context.Context, gens []trace.Generator, worklo
 			p.cur = s
 			gen := gens[i]
 			for q := 0; q < quantum; q++ {
-				if !gen.Next(&s.in) {
+				in := &s.in
+				if walk {
+					if len(s.insts) == 0 {
+						s.done = true
+						active--
+						break
+					}
+					in = &s.insts[0]
+					s.insts = s.insts[1:]
+				} else if !gen.Next(in) {
 					s.done = true
 					active--
 					break
 				}
-				s.lastCommit = p.step(s, s.seq, &s.in)
+				s.lastCommit = p.step(s, s.seq, in)
 				s.seq++
 				total++
 				if s.seq%4096 == 0 {
@@ -776,8 +818,19 @@ func (p *Pipeline) RunSMTCtx(ctx context.Context, gens []trace.Generator, worklo
 			}
 		}
 	}
+	if walk {
+		for i, s := range p.ctxs {
+			sl := gens[i].(instSlicer)
+			sl.Advance(len(sl.Remaining()) - len(s.insts))
+			s.insts = nil
+		}
+	}
+	if lead != nil && p.one.brSeen != nil && !aborted {
+		p.publishMix(lead, held, gens)
+	}
 	merged := stats.Run{Workload: label, Config: config, Aborted: aborted}
 	for _, s := range p.ctxs {
+		s.brKnown, s.brSeen = nil, nil
 		s.run.Instructions = s.seq
 		s.run.Cycles = s.lastCommit
 		s.run.Aborted = aborted && !s.done
@@ -813,7 +866,7 @@ func (p *Pipeline) beginOutcomes(s *ctxSlice, rec *trace.Replay, n int) *trace.B
 	switch {
 	case held == nil:
 		s.brSeen = make([]uint64, (n+63)/64)
-	case !held.TAGE.Equal(p.cfg.TAGE) || !held.ITTAGE.Equal(p.cfg.ITTAGE) || held.RASSize != p.cfg.RASSize:
+	case !held.BranchConfig.Equal(p.branchConfig()):
 	case n <= held.Len:
 		s.brKnown = held.Mispredicted
 	default:
@@ -827,17 +880,101 @@ func (p *Pipeline) beginOutcomes(s *ctxSlice, rec *trace.Replay, n int) *trace.B
 // the slot held at run start; if another run published in between,
 // that publication stands.
 func (p *Pipeline) publishOutcomes(s *ctxSlice, rec *trace.Replay, held *trace.BranchOutcomes, n int) {
-	o := &trace.BranchOutcomes{
-		TAGE:         p.cfg.TAGE,
-		ITTAGE:       p.cfg.ITTAGE,
-		RASSize:      p.cfg.RASSize,
+	rec.PublishBranchOutcomes(held, &trace.BranchOutcomes{
+		BranchConfig: p.ownBranchConfig(),
 		Len:          n,
 		Mispredicted: s.brSeen,
+	})
+}
+
+// beginMix sets up how an interleaved run over gens treats branches,
+// and returns context 0's recording, whose mix slot the run may
+// publish to, with the slot's contents at run start; a nil recording
+// means the run predicts live and publishes nothing. The contexts take
+// turns by instruction count, never by timing, so on a fresh pipeline
+// the branch stream reaching the shared TAGE, ITTAGE and RAS, and with
+// it every context's mispredict bits, depends only on the recordings
+// in context order, their lengths, the quantum and the branch
+// configuration. The run therefore replays the slot when it holds
+// exactly this mix under this configuration and quantum; it collects
+// its own outcomes for publication when the slot is empty or holds
+// another mix under them; otherwise, and whenever a context is not a
+// recording cursor at its first instruction, it predicts live and
+// leaves the slot alone. A prefix of a mix is another mix: cutting one
+// context short changes how the others interleave.
+func (p *Pipeline) beginMix(gens []trace.Generator) (*trace.Replay, *trace.MixOutcomes) {
+	for _, g := range gens {
+		if r, ok := g.(*trace.Replay); !ok || r.Pos() != 0 {
+			return nil, nil
+		}
 	}
-	// The configuration's history lengths are the caller's slices.
-	o.TAGE.HistoryLens = slices.Clone(o.TAGE.HistoryLens)
-	o.ITTAGE.HistoryLens = slices.Clone(o.ITTAGE.HistoryLens)
-	rec.PublishBranchOutcomes(held, o)
+	lead := gens[0].(*trace.Replay)
+	held := lead.MixOutcomes()
+	if held != nil && (held.Quantum != p.smtQuantum() || !held.BranchConfig.Equal(p.branchConfig())) {
+		return nil, nil
+	}
+	if held != nil && sameMix(held, gens) {
+		for i, s := range p.ctxs {
+			s.brKnown = held.Contexts[i].Mispredicted
+		}
+		return lead, held
+	}
+	for i, s := range p.ctxs {
+		s.brSeen = make([]uint64, (gens[i].(*trace.Replay).Len()+63)/64)
+	}
+	return lead, held
+}
+
+// sameMix reports whether o covers exactly the recordings gens read,
+// in context order and at their lengths.
+func sameMix(o *trace.MixOutcomes, gens []trace.Generator) bool {
+	if len(o.Contexts) != len(gens) {
+		return false
+	}
+	for i, c := range o.Contexts {
+		r := gens[i].(*trace.Replay)
+		if c.Recording != r.ID() || c.Len != r.Len() {
+			return false
+		}
+	}
+	return true
+}
+
+// publishMix offers the outcomes the contexts collected over the
+// recordings gens read to later runs of the same mix. It replaces held,
+// what lead's mix slot held at run start; if another run published in
+// between, that publication stands.
+func (p *Pipeline) publishMix(lead *trace.Replay, held *trace.MixOutcomes, gens []trace.Generator) {
+	o := &trace.MixOutcomes{
+		BranchConfig: p.ownBranchConfig(),
+		Quantum:      p.smtQuantum(),
+		Contexts:     make([]trace.MixContext, len(gens)),
+	}
+	for i, s := range p.ctxs {
+		r := gens[i].(*trace.Replay)
+		o.Contexts[i] = trace.MixContext{Recording: r.ID(), Len: r.Len(), Mispredicted: s.brSeen}
+	}
+	lead.PublishMixOutcomes(held, o)
+}
+
+// branchConfig returns the configuration of the branch predictors.
+func (p *Pipeline) branchConfig() trace.BranchConfig {
+	return trace.BranchConfig{TAGE: p.cfg.TAGE, ITTAGE: p.cfg.ITTAGE, RASSize: p.cfg.RASSize}
+}
+
+// ownBranchConfig returns branchConfig with history lengths of its
+// own, for outcomes that outlive the caller's Config.
+func (p *Pipeline) ownBranchConfig() trace.BranchConfig {
+	c := p.branchConfig()
+	c.TAGE.HistoryLens = slices.Clone(c.TAGE.HistoryLens)
+	c.ITTAGE.HistoryLens = slices.Clone(c.ITTAGE.HistoryLens)
+	return c
+}
+
+// smtQuantum returns how many instructions a context runs per turn of
+// an interleaved run: cfg.SMTQuantum, or one when that is not positive.
+func (p *Pipeline) smtQuantum() int {
+	return max(p.cfg.SMTQuantum, 1)
 }
 
 // step processes one of context s's instructions through every pipeline

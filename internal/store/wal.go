@@ -185,11 +185,8 @@ func (w *WAL) openSegment(n int, appendTo bool) error {
 	return nil
 }
 
-// readFrames decodes the frames of the file at path, oldest first,
-// handing each decoded record to each. It stops at the first torn,
-// CRC-corrupt or undecodable frame, or where each rejects a record, and
-// returns the number of records taken and the byte offset of the end of
-// the last of them. A missing file holds no records.
+// readFrames decodes the frames of the file at path, oldest first, as
+// decodeFrames does. A missing file holds no records.
 func readFrames[T any](path string, each func(T) bool) (n int, good int64, err error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
@@ -199,7 +196,16 @@ func readFrames[T any](path string, each func(T) bool) (n int, good int64, err e
 		return 0, 0, fmt.Errorf("store: %w", err)
 	}
 	defer f.Close()
-	r := bufio.NewReaderSize(f, 64<<10)
+	n, good = decodeFrames(bufio.NewReaderSize(f, 64<<10), each)
+	return n, good, nil
+}
+
+// decodeFrames decodes the frames r holds, oldest first, handing each
+// decoded record to each. It stops at the first torn, CRC-corrupt or
+// undecodable frame, or where each rejects a record, and returns the
+// number of records taken and the byte offset of the end of the last
+// of them.
+func decodeFrames[T any](r io.Reader, each func(T) bool) (n int, good int64) {
 	var hdr [frameHeader]byte
 	for {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -223,7 +229,7 @@ func readFrames[T any](path string, each func(T) bool) (n int, good int64, err e
 		n++
 		good += frameHeader + int64(size)
 	}
-	return n, good, nil
+	return n, good
 }
 
 // writeFrame writes v to w as one frame (its JSON encoding behind the

@@ -20,9 +20,38 @@ type Replay struct {
 	mem   *mem.Backing
 	pos   int
 
-	// branches is the recording's branch-outcome slot, shared by every
-	// cursor over it (see BranchOutcomes).
-	branches *atomic.Pointer[BranchOutcomes]
+	// rec is shared by every cursor over the recording.
+	rec *recording
+}
+
+// recording is what every cursor over one recording shares besides its
+// instructions and memory image: the branch-outcome slots. Its address
+// identifies the recording (see RecordingID).
+type recording struct {
+	// branches holds the outcomes of single-context runs over the
+	// recording, mix those of interleaved runs whose context 0 it is.
+	// The two kinds of run feed the branch predictors different
+	// streams, so each keeps its own slot.
+	branches atomic.Pointer[BranchOutcomes]
+	mix      atomic.Pointer[MixOutcomes]
+}
+
+// RecordingID identifies a recording: every cursor over it, prefixes
+// included, has the same ID, and no two recordings share one. An ID
+// holds the recording's outcome slots, never its instructions.
+type RecordingID struct{ rec *recording }
+
+// BranchConfig names the branch predictors outcomes were computed
+// under.
+type BranchConfig struct {
+	TAGE    branch.TAGEConfig
+	ITTAGE  branch.ITTAGEConfig
+	RASSize int
+}
+
+// Equal reports whether c and o describe the same predictors.
+func (c BranchConfig) Equal(o BranchConfig) bool {
+	return c.TAGE.Equal(o.TAGE) && c.ITTAGE.Equal(o.ITTAGE) && c.RASSize == o.RASSize
 }
 
 // BranchOutcomes is what a branch predictor made of the first Len
@@ -33,11 +62,31 @@ type Replay struct {
 // run and replays them on later ones (DESIGN.md §8). Published outcomes
 // are read-only.
 type BranchOutcomes struct {
-	TAGE    branch.TAGEConfig
-	ITTAGE  branch.ITTAGEConfig
-	RASSize int
+	BranchConfig
 
 	Len          int      // instructions covered, from the first
+	Mispredicted []uint64 // bit i%64 of word i/64: instruction i mispredicted
+}
+
+// MixOutcomes is what the shared branch predictors made of an
+// interleaved run over several recordings, one per hardware context,
+// each from its first instruction to its end, taking turns of Quantum
+// instructions. The turns follow instruction counts alone, so these
+// outcomes depend only on the recordings in context order, their
+// lengths, the quantum and the branch configuration; the pipeline
+// computes them on a mix's first run and replays them on later ones
+// (DESIGN.md §8). Published outcomes are read-only.
+type MixOutcomes struct {
+	BranchConfig
+	Quantum int
+
+	Contexts []MixContext // in context order
+}
+
+// MixContext is one context's part of a mix's outcomes.
+type MixContext struct {
+	Recording    RecordingID
+	Len          int      // the context's instructions, all of them run
 	Mispredicted []uint64 // bit i%64 of word i/64: instruction i mispredicted
 }
 
@@ -61,7 +110,7 @@ func Record(gen Generator, limit, sizeHint uint64) *Replay {
 	if limit > 0 && sizeHint > limit {
 		sizeHint = limit
 	}
-	r := &Replay{mem: gen.Mem().Clone(), branches: new(atomic.Pointer[BranchOutcomes])}
+	r := &Replay{mem: gen.Mem().Clone(), rec: new(recording)}
 	var in Inst
 	for (limit == 0 || uint64(len(r.insts)) < limit) && gen.Next(&in) {
 		if n := uint64(len(r.insts)); n == uint64(cap(r.insts)) && n < sizeHint {
@@ -104,7 +153,7 @@ func (r *Replay) Rewind() { r.pos = 0 }
 // Both arguments are captured, not copied — the caller must not mutate
 // them afterwards (the same read-only contract Cursor documents).
 func NewReplay(insts []Inst, image *mem.Backing) *Replay {
-	return &Replay{insts: insts, mem: image, branches: new(atomic.Pointer[BranchOutcomes])}
+	return &Replay{insts: insts, mem: image, rec: new(recording)}
 }
 
 // Cursor returns an independent read position over the same recording.
@@ -115,23 +164,24 @@ func NewReplay(insts []Inst, image *mem.Backing) *Replay {
 // consumers that apply stores do so on their own copy of the image (the
 // pipeline clones or CopyFroms it at Run start; Backing.CopyFrom reads
 // only the source's pages, never its internal read memo). The
-// branch-outcome slot is shared too.
+// branch-outcome slots are shared too.
 func (r *Replay) Cursor() *Replay {
-	return &Replay{insts: r.insts, mem: r.mem, branches: r.branches}
+	return &Replay{insts: r.insts, mem: r.mem, rec: r.rec}
 }
 
 // CursorN returns an independent cursor bounded to the first n
 // instructions of the recording (0 or past-the-end means the whole
 // recording). External workloads resolve Build(n) through this: the
 // registered trace is recorded once and every budget replays a prefix.
-// A prefix shares the recording's branch-outcome slot: outcomes cover
-// instructions from the first, so they serve every shorter run.
+// A prefix shares the recording's branch-outcome slots: single-context
+// outcomes cover instructions from the first, so they serve every
+// shorter run; a mix's outcomes name each context's length.
 func (r *Replay) CursorN(n uint64) *Replay {
 	insts := r.insts
 	if n > 0 && n < uint64(len(insts)) {
 		insts = insts[:n]
 	}
-	return &Replay{insts: insts, mem: r.mem, branches: r.branches}
+	return &Replay{insts: insts, mem: r.mem, rec: r.rec}
 }
 
 // Len returns the number of recorded instructions.
@@ -140,15 +190,30 @@ func (r *Replay) Len() int { return len(r.insts) }
 // Pos returns how many instructions the cursor has consumed.
 func (r *Replay) Pos() int { return r.pos }
 
-// BranchOutcomes returns the branch outcomes last published for the
-// recording, or nil when none has been.
-func (r *Replay) BranchOutcomes() *BranchOutcomes { return r.branches.Load() }
+// ID returns the identity of the recording the cursor reads.
+func (r *Replay) ID() RecordingID { return RecordingID{r.rec} }
 
-// PublishBranchOutcomes installs o as the recording's branch outcomes
-// if the slot still holds old (nil for an empty slot) and reports
-// whether it did. Every cursor over the recording sees the result.
+// BranchOutcomes returns the single-context branch outcomes last
+// published for the recording, or nil when none has been.
+func (r *Replay) BranchOutcomes() *BranchOutcomes { return r.rec.branches.Load() }
+
+// PublishBranchOutcomes installs o as the recording's single-context
+// branch outcomes if the slot still holds old (nil for an empty slot)
+// and reports whether it did. Every cursor over the recording sees the
+// result.
 func (r *Replay) PublishBranchOutcomes(old, o *BranchOutcomes) bool {
-	return r.branches.CompareAndSwap(old, o)
+	return r.rec.branches.CompareAndSwap(old, o)
+}
+
+// MixOutcomes returns the outcomes last published for an interleaved
+// run with the recording as context 0, or nil when none has been.
+func (r *Replay) MixOutcomes() *MixOutcomes { return r.rec.mix.Load() }
+
+// PublishMixOutcomes installs o as the outcomes of an interleaved run
+// led by the recording if the slot still holds old (nil for an empty
+// slot) and reports whether it did.
+func (r *Replay) PublishMixOutcomes(old, o *MixOutcomes) bool {
+	return r.rec.mix.CompareAndSwap(old, o)
 }
 
 // Remaining exposes the not-yet-consumed tail of the recording as a
