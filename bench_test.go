@@ -9,6 +9,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/eves"
 	"repro/internal/expt"
+	"repro/internal/mem"
 	"repro/internal/trace"
 )
 
@@ -360,6 +361,46 @@ func BenchmarkBranchTAGE(b *testing.B) {
 		for _, c := range conds {
 			tage.Predict(c.pc, c.hist)
 			tage.Update(c.pc, c.hist, c.taken)
+		}
+	}
+}
+
+// BenchmarkHierarchyAccess measures the Table III memory hierarchy
+// alone: the fetch of every instruction of the 50k-instruction gcc2k
+// recording and the data access of every load and store, in program
+// order, through a hierarchy reset to its just-built state each
+// iteration. The single-context pipeline benchmarks without an address
+// predictor (Baseline, EVES) replay their recording's hierarchy
+// outcomes after the warmup run, as they replay its branch outcomes,
+// so this benchmark keeps the caches, TLB and prefetcher in the
+// ledger. MB/s reads as millions of accesses per second.
+func BenchmarkHierarchyAccess(b *testing.B) {
+	type access struct {
+		pc, addr uint64
+		data     bool
+	}
+	w, _ := trace.ByName("gcc2k")
+	rep := trace.Record(w.Build(benchPipelineInsts), 0, 0)
+	var accs []access
+	var in trace.Inst
+	for rep.Next(&in) {
+		accs = append(accs, access{pc: in.PC})
+		if in.Op == trace.OpLoad || in.Op == trace.OpStore {
+			accs = append(accs, access{in.PC, in.Addr, true})
+		}
+	}
+	h := mem.NewHierarchy(cpu.DefaultConfig().Hierarchy)
+	b.SetBytes(int64(len(accs)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Reset()
+		for _, a := range accs {
+			if a.data {
+				h.DataAccess(a.pc, a.addr)
+			} else {
+				h.InstAccess(a.pc)
+			}
 		}
 	}
 }

@@ -161,6 +161,13 @@ func buildSpec(specFile, preset string, fs *flag.FlagSet,
 	return sim, label
 }
 
+// newEngine builds sim's engine, seeded from the spec's seed and
+// workload label as lvpd, the figures and lvpbench seed theirs, so a
+// spec gives the same result here as on every other surface.
+func newEngine(sim spec.Sim) (cpu.Engine, error) {
+	return spec.NewEngine(sim.Predictor, sim.Workload.Insts, expt.DeriveEngineSeed(sim.Run.Seed, sim.WorkloadLabel()))
+}
+
 // runSMT simulates a multi-context spec: one independently-seeded
 // stream per hardware context, interleaved on a single pipeline whose
 // predictors, caches, and TLBs are shared across contexts. Output
@@ -217,7 +224,7 @@ func runSMT(sim spec.Sim, label string, jsonOut bool, phaseSpan func(string) fun
 		return
 	}
 
-	engine, err := spec.NewEngine(sim.Predictor, sim.Workload.Insts, sim.Run.Seed)
+	engine, err := newEngine(sim)
 	if err != nil {
 		fatal(err)
 	}
@@ -476,7 +483,7 @@ func main() {
 	// The spec registry is the single mapping from predictor specs to
 	// engines; epoch-based machinery (M-AM, fusion) is scaled to the
 	// run length exactly as in the experiments and the daemon.
-	engine, err := spec.NewEngine(sim.Predictor, sim.Workload.Insts, sim.Run.Seed)
+	engine, err := newEngine(sim)
 	if err != nil {
 		fatal(err)
 	}

@@ -30,6 +30,18 @@ type Engine interface {
 	Instret(n uint64)
 }
 
+// ValueOnlyEngine is implemented by an Engine that can declare it never
+// reaches the memory hierarchy: it never delivers an address
+// prediction, and its Train never calls the resolver. With such an
+// engine, or none, the caches see only the trace's own accesses, so a
+// run over a recording may replay what the hierarchy made of them
+// (DESIGN.md §8). EVES declares it; the composite does not, since its
+// PAQ probes, their prefetches and its resolver read and change the
+// caches.
+type ValueOnlyEngine interface {
+	ValueOnly() bool
+}
+
 // RecRingSize is the number of in-flight per-load records an engine
 // must retain between Probe and its matching Train. Must be a power of
 // two and exceed the pipeline's maximum training backlog (bounded by

@@ -76,11 +76,16 @@ func TestGoldenDifferential(t *testing.T) {
 	cfg := DefaultConfig()
 	for _, eng := range goldenEngines {
 		eng := eng
+		// Only the composite reaches the caches, so the other engines'
+		// runs over a recording also fill and replay its hierarchy
+		// outcomes.
+		fromTrace := eng.name != "composite"
 		t.Run(eng.name, func(t *testing.T) {
 			for _, w := range pool {
 				seed := goldenSeed(w.Name)
-				want := newRefPipeline(cfg, eng.mk(seed)).
-					Run(w.Build(goldenInsts), w.Name, eng.name)
+				ref := newRefPipeline(cfg, eng.mk(seed))
+				want := ref.Run(w.Build(goldenInsts), w.Name, eng.name)
+				wantHier := ref.hier.Stats()
 
 				p := Acquire(cfg, eng.mk(seed))
 				got := p.Run(w.Build(goldenInsts), w.Name, eng.name)
@@ -98,23 +103,38 @@ func TestGoldenDifferential(t *testing.T) {
 
 				// Twice more over one recording, pooled: the first run
 				// predicts the branches and publishes their outcomes,
-				// the second replays them.
+				// the second replays them, and likewise for the
+				// hierarchy's outcomes where the engine lets them
+				// depend on the trace alone.
 				rep := trace.Record(w.Build(goldenInsts), 0, 0)
 				for _, phase := range []string{"filling", "replaying"} {
 					p := Acquire(cfg, eng.mk(seed))
 					got := p.Run(rep.Cursor(), w.Name, eng.name)
 					live := predicted(p)
+					h := p.Hierarchy()
+					replayedHier, gotHier := untouched(h, rep), h.Stats()
 					Release(p)
 					if got != want {
 						t.Fatalf("%s/%s: %s run over a recording diverged\n got: %+v\nwant: %+v",
 							eng.name, w.Name, phase, got, want)
 					}
+					if gotHier != wantHier {
+						t.Fatalf("%s/%s: %s run over a recording left hierarchy counters %+v, want %+v",
+							eng.name, w.Name, phase, gotHier, wantHier)
+					}
 					if o := rep.BranchOutcomes(); o == nil || o.Len != goldenInsts {
 						t.Fatalf("%s/%s: after the %s run the recording holds outcomes %+v, want %d instructions",
 							eng.name, w.Name, phase, o, goldenInsts)
 					}
+					if o := rep.HierarchyOutcomes(); fromTrace != (o != nil && o.Len == goldenInsts) {
+						t.Fatalf("%s/%s: after the %s run the recording holds hierarchy outcomes %+v",
+							eng.name, w.Name, phase, o)
+					}
 					if phase == "replaying" && live {
 						t.Fatalf("%s/%s: the second run over a recording predicted its branches", eng.name, w.Name)
+					}
+					if replayedHier != (phase == "replaying" && fromTrace) {
+						t.Fatalf("%s/%s: the %s run left the hierarchy untouched = %v", eng.name, w.Name, phase, replayedHier)
 					}
 				}
 			}

@@ -232,6 +232,11 @@ type ctxSlice struct {
 	// down to the next publication.
 	progress *Progress
 	progLeft uint64
+
+	// tape replays or records the hierarchy outcomes of a run over a
+	// recording (see beginHierarchy); nil when the run accesses the
+	// hierarchy without recording. Set only for the run's duration.
+	tape *hierTape
 }
 
 // build (re)constructs the slice's config-sized structures.
@@ -320,10 +325,13 @@ type Pipeline struct {
 
 	runGen uint64 // current run generation; ring records from other runs are dead
 
-	// branchFresh reports that TAGE, ITTAGE and the RAS are untouched
-	// since build or Reset, the state a recording's branch outcomes are
-	// computed from.
-	branchFresh bool
+	// fresh reports that TAGE, ITTAGE, the RAS and the hierarchy are
+	// untouched since build or Reset, the state a recording's outcomes
+	// are computed from. stale reports that the last run replayed
+	// outcomes, so it left them untrained where a live run would have
+	// trained them: only Reset makes the pipeline usable again.
+	fresh bool
+	stale bool
 
 	// Reusable address resolver: trainOne parameterizes the closure via
 	// cur's trainSeq/trainProbeC fields instead of allocating a fresh
@@ -341,6 +349,10 @@ type Pipeline struct {
 	progEvery uint64
 	progLeft  uint64
 	progStart int64
+
+	// tape is context 0's hierarchy tape, kept so its buffers serve
+	// later runs.
+	tape hierTape
 }
 
 // New builds a pipeline with the given configuration and value
@@ -372,7 +384,7 @@ func (p *Pipeline) build(cfg Config, engine Engine) {
 	p.built = []*ctxSlice{&p.one}
 	p.useContexts(contextCount(cfg))
 	p.cur = &p.one
-	p.branchFresh = true
+	p.fresh, p.stale = true, false
 	if p.resolve == nil {
 		p.resolve = func(addr uint64, size uint8) (uint64, bool) {
 			s := p.cur
@@ -450,7 +462,7 @@ func (p *Pipeline) Reset(cfg Config, engine Engine) {
 		p.engine = engine
 	}
 	p.cur = &p.one
-	p.branchFresh = true
+	p.fresh, p.stale = true, false
 	p.runGen++ // retire all ring records without clearing 256KB
 	p.instretBatch = 0
 	p.progress, p.progEvery, p.progLeft, p.progStart = nil, 0, 0, 0
@@ -587,13 +599,18 @@ func (p *Pipeline) Run(gen trace.Generator, workload, config string) stats.Run {
 //
 // A run over a recording may replay the recording's branch outcomes
 // instead of predicting them, or publish the outcomes it predicted for
-// later runs (see beginOutcomes); the returned metrics are the same
-// either way.
+// later runs (see beginOutcomes), and likewise for what the memory
+// hierarchy made of its accesses (see beginHierarchy); the returned
+// metrics are the same either way, and so are the hierarchy's counters
+// after a complete run. A run that replayed leaves the predictors and
+// caches untrained, so the next run on the pipeline must follow a
+// Reset; without one it panics.
 func (p *Pipeline) RunCtx(ctx context.Context, gen trace.Generator, workload, config string) stats.Run {
+	p.checkTrained("Run")
 	s := &p.one
 	p.cur = s
-	fresh := p.branchFresh
-	p.branchFresh = false
+	fresh := p.fresh
+	p.fresh = false
 	// The simulator's memory image starts equal to the workload's: the
 	// backing fill function is shared via Clone, and stores are applied
 	// as they execute. A reused pipeline copies into its existing image
@@ -620,8 +637,10 @@ func (p *Pipeline) RunCtx(ctx context.Context, gen trace.Generator, workload, co
 		insts := sl.Remaining()
 		rec, _ := gen.(*trace.Replay)
 		var held *trace.BranchOutcomes
+		var heldHier *trace.HierarchyOutcomes
 		if rec != nil && fresh && rec.Pos() == 0 {
 			held = p.beginOutcomes(s, rec, len(insts))
+			heldHier = p.beginHierarchy(s, rec, len(insts))
 		}
 		for seq < uint64(len(insts)) {
 			if done != nil && seq%cancelCheckInterval == 0 {
@@ -648,10 +667,15 @@ func (p *Pipeline) RunCtx(ctx context.Context, gen trace.Generator, workload, co
 			}
 		}
 		sl.Advance(int(seq))
-		if s.brSeen != nil && !s.run.Aborted {
-			p.publishOutcomes(s, rec, held, len(insts))
+		if !s.run.Aborted {
+			if s.brSeen != nil {
+				p.publishOutcomes(s, rec, held, len(insts))
+			}
+			p.endHierarchy(s, rec, heldHier, len(insts))
 		}
+		p.stale = s.brKnown != nil || s.tape != nil && s.tape.known != nil
 		s.brKnown, s.brSeen = nil, nil
+		s.tape, p.tape.known = nil, nil
 	} else {
 		for {
 			if done != nil && seq%cancelCheckInterval == 0 {
@@ -728,8 +752,9 @@ func (p *Pipeline) RunSMTCtx(ctx context.Context, gens []trace.Generator, worklo
 	if len(gens) != len(p.ctxs) {
 		panic(fmt.Sprintf("cpu: RunSMT: %d generators for a %d-context pipeline", len(gens), len(p.ctxs)))
 	}
-	fresh := p.branchFresh
-	p.branchFresh = false
+	p.checkTrained("RunSMT")
+	fresh := p.fresh
+	p.fresh = false
 	walk := true
 	for i, s := range p.ctxs {
 		if s.simMem == nil {
@@ -830,6 +855,7 @@ func (p *Pipeline) RunSMTCtx(ctx context.Context, gens []trace.Generator, worklo
 	}
 	merged := stats.Run{Workload: label, Config: config, Aborted: aborted}
 	for _, s := range p.ctxs {
+		p.stale = p.stale || s.brKnown != nil
 		s.brKnown, s.brSeen = nil, nil
 		s.run.Instructions = s.seq
 		s.run.Cycles = s.lastCommit
@@ -957,6 +983,15 @@ func (p *Pipeline) publishMix(lead *trace.Replay, held *trace.MixOutcomes, gens 
 	lead.PublishMixOutcomes(held, o)
 }
 
+// checkTrained panics when the last run replayed recorded outcomes: a
+// run continuing from its untrained predictors and caches would
+// silently start cold where a live run leaves them warm.
+func (p *Pipeline) checkTrained(entry string) {
+	if p.stale {
+		panic("cpu: " + entry + " after a run that replayed a recording's outcomes: Reset the pipeline first, the replay left its branch predictors and caches untrained")
+	}
+}
+
 // branchConfig returns the configuration of the branch predictors.
 func (p *Pipeline) branchConfig() trace.BranchConfig {
 	return trace.BranchConfig{TAGE: p.cfg.TAGE, ITTAGE: p.cfg.ITTAGE, RASSize: p.cfg.RASSize}
@@ -1019,7 +1054,7 @@ func (p *Pipeline) step(s *ctxSlice, seq uint64, in *trace.Inst) uint64 {
 	}
 
 	// ---- Fetch ----
-	fc := p.fetch(s, in.PC, fetchFloor)
+	fc := p.fetch(s, seq, in.PC, fetchFloor)
 
 	// ---- Rename/dispatch ----
 	dC := fc + uint64(p.cfg.FetchToExec)
@@ -1247,10 +1282,10 @@ func (p *Pipeline) step(s *ctxSlice, seq uint64, in *trace.Inst) uint64 {
 	return cc
 }
 
-// fetch returns this instruction's fetch cycle, honoring redirects,
+// fetch returns instruction seq's fetch cycle, honoring redirects,
 // window backpressure (floor), fetch width, and instruction cache
 // misses.
-func (p *Pipeline) fetch(s *ctxSlice, pc uint64, floor uint64) uint64 {
+func (p *Pipeline) fetch(s *ctxSlice, seq, pc uint64, floor uint64) uint64 {
 	start := s.fetchCycle
 	if s.redirectC > start {
 		start = s.redirectC
@@ -1258,7 +1293,16 @@ func (p *Pipeline) fetch(s *ctxSlice, pc uint64, floor uint64) uint64 {
 	if floor > start {
 		start = floor
 	}
-	iLat := p.hier.InstAccess(pc | s.asid)
+	var served mem.Served
+	if t := s.tape; t != nil && t.known != nil {
+		served = t.replayFetch(seq)
+	} else {
+		served = p.hier.Inst(pc | s.asid)
+		if served != mem.ServedL1 && t != nil {
+			t.misses = append(t.misses, seq<<2|uint64(served))
+		}
+	}
+	iLat := p.hier.InstLatency(served)
 	if base := p.cfg.Hierarchy.L1I.Latency; iLat > base {
 		// I-cache miss: front-end bubble for the extra latency.
 		start += uint64(iLat - base)
@@ -1290,13 +1334,21 @@ func (p *Pipeline) executeLoad(s *ctxSlice, seq uint64, in *trace.Inst, issueC u
 			execDone = ls.execDone + uint64(p.cfg.StoreForwardLat)
 			return execDone, true
 		}
-		if recent := s.nStores > 0 && seq-ls.seq <= uint64(p.cfg.STQ)*4; recent {
+		if recent := s.nStores > 0 && seq-ls.seq <= uint64(p.forwardWindow()); recent {
 			// Store-to-load forwarding from the STQ.
 			return issueC + uint64(p.cfg.StoreForwardLat), false
 		}
 	}
-	lat := p.hier.DataAccess(in.PC, in.Addr|s.asid)
-	done := issueC + uint64(lat)
+	var served mem.Served
+	if t := s.tape; t != nil && t.known != nil {
+		served = t.replayLoad()
+	} else {
+		served = p.hier.Data(in.PC, in.Addr|s.asid)
+		if t != nil {
+			t.loads = append(t.loads, served)
+		}
+	}
+	done := issueC + uint64(p.hier.DataLatency(served))
 	// A PAQ prefetch in flight for this line bounds the completion: the
 	// demand access cannot finish before the fill arrives, but benefits
 	// from it afterwards.
@@ -1332,9 +1384,9 @@ func (p *Pipeline) executeStore(s *ctxSlice, seq uint64, in *trace.Inst, issueC 
 		// at or before every future comparison cycle (no violation, no
 		// stale-probe window) and is too old to forward from the STQ.
 		floor := p.storeFloor(s)
-		stq4 := uint64(p.cfg.STQ) * 4
+		window := uint64(p.forwardWindow())
 		s.lastStore.compact(func(r storeRecord) bool {
-			return r.execDone > floor || seq-r.seq <= stq4
+			return r.execDone > floor || seq-r.seq <= window
 		})
 	}
 	word := in.Addr >> 3
@@ -1346,7 +1398,10 @@ func (p *Pipeline) executeStore(s *ctxSlice, seq uint64, in *trace.Inst, issueC 
 	})
 	s.simMem.Write(in.Addr, in.Size, in.Value)
 	// The store's cache access shapes hierarchy state (write-allocate).
-	p.hier.DataAccess(in.PC, in.Addr|s.asid)
+	// Nothing waits on its latency, so a replaying run skips it.
+	if t := s.tape; t == nil || t.known == nil {
+		p.hier.Data(in.PC, in.Addr|s.asid)
+	}
 }
 
 // probeRead models what the PAQ's data-cache probe returns at probeC

@@ -335,6 +335,11 @@ func confProb(c uint8) uint32 {
 // Instret implements the Engine epoch hook (EVES has no epochs).
 func (e *EVES) Instret(uint64) {}
 
+// ValueOnly reports that EVES never reaches the memory hierarchy: it
+// predicts values only (core.KindValue), and Train ignores the address
+// resolver (see cpu.ValueOnlyEngine).
+func (e *EVES) ValueOnly() bool { return true }
+
 // ResetState clears all predictor state.
 func (e *EVES) ResetState() {
 	clear(e.base)

@@ -30,11 +30,18 @@ type SMTResult struct {
 func (r SMTResult) Aborted() bool { return r.Merged.Aborted }
 
 // EngineSeedLabel returns the engine seed for a workload-mix label,
-// derived from the context seed. A homogeneous mix's label is the bare
-// workload name, so a 1-context SMT run seeds identically to the plain
-// run.
+// derived from the context seed (see DeriveEngineSeed).
 func (c *Context) EngineSeedLabel(label string) uint64 {
-	return core.SplitMix64(c.seed ^ hashName(label))
+	return DeriveEngineSeed(c.seed, label)
+}
+
+// DeriveEngineSeed returns the engine seed of a run whose spec has the
+// given seed and workload label (spec.Sim.WorkloadLabel). Every surface
+// that runs a spec seeds its engine this way, so one spec gives one
+// result. A homogeneous mix's label is the bare workload name, so a
+// 1-context SMT run seeds identically to the plain run.
+func DeriveEngineSeed(seed uint64, label string) uint64 {
+	return core.SplitMix64(seed ^ hashName(label))
 }
 
 // RunSMTCtx simulates a normalized multi-context spec with the supplied

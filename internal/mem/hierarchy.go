@@ -28,6 +28,30 @@ func DefaultHierarchyConfig() HierarchyConfig {
 	}
 }
 
+// Served says how the hierarchy served one access: the level that held
+// the line and, for a data access, whether the TLB walked. It fits in a
+// byte, so a run's accesses can be recorded and replayed;
+// DataLatency and InstLatency turn one back into cycles.
+type Served uint8
+
+// The levels, in the order an access walks them. ServedL1 is the L1D
+// for a data access and the L1I for an instruction fetch.
+const (
+	ServedL1 Served = iota
+	ServedL2
+	ServedL3
+	ServedMem
+
+	// ServedWalk marks a data access whose translation missed the TLB.
+	ServedWalk Served = 4
+)
+
+// HierarchyStats is a snapshot of every counter in the hierarchy.
+type HierarchyStats struct {
+	L1I, L1D, L2, L3, TLB CacheStats
+	Prefetch              PrefetchStats
+}
+
 // Hierarchy ties the cache levels, TLB and prefetcher together and
 // answers latency queries for the pipeline model.
 type Hierarchy struct {
@@ -38,6 +62,9 @@ type Hierarchy struct {
 	L3       *Cache
 	TLB      *TLB
 	Prefetch *StridePrefetcher
+
+	dataLat [8]int // cycles of a data access, by Served
+	instLat [4]int // cycles of an instruction fetch, by level
 }
 
 // NewHierarchy builds the memory system from cfg.
@@ -53,6 +80,15 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 	if cfg.PrefetchEnabled {
 		h.Prefetch = NewStridePrefetcher(cfg.PrefetchEntries, cfg.PrefetchDegree)
 	}
+	levels := [4]int{cfg.L1D.Latency, cfg.L2.Latency, cfg.L3.Latency, cfg.MemLatency}
+	h.instLat = levels
+	h.instLat[ServedL1] = cfg.L1I.Latency
+	for s := range h.dataLat {
+		h.dataLat[s] = levels[s&3]
+		if Served(s)&ServedWalk != 0 {
+			h.dataLat[s] += cfg.TLB.WalkLatency
+		}
+	}
 	return h
 }
 
@@ -63,35 +99,46 @@ func (h *Hierarchy) Config() HierarchyConfig { return h.cfg }
 // touching addr. It returns the total access latency in cycles,
 // including any TLB walk, and trains the prefetcher.
 func (h *Hierarchy) DataAccess(pc, addr uint64) int {
-	lat := h.TLB.Access(addr)
-	lat += h.dataFillPath(addr)
+	return h.DataLatency(h.Data(pc, addr))
+}
+
+// Data is DataAccess reporting how the access was served instead of
+// its latency.
+func (h *Hierarchy) Data(pc, addr uint64) Served {
+	s := h.dataFillPath(addr)
+	if h.TLB.walk(addr) {
+		s |= ServedWalk
+	}
 	if h.Prefetch != nil {
 		for _, pfAddr := range h.Prefetch.Observe(pc, addr) {
 			h.fillQuiet(pfAddr)
 		}
 	}
-	return lat
+	return s
 }
 
+// DataLatency returns the cycles of a data access served as s.
+func (h *Hierarchy) DataLatency(s Served) int { return h.dataLat[s&7] }
+
 // dataFillPath walks L1D→L2→L3→memory, filling on the way back, and
-// returns the hit latency of the level that serviced the access.
-func (h *Hierarchy) dataFillPath(addr uint64) int {
+// returns the level that serviced the access.
+func (h *Hierarchy) dataFillPath(addr uint64) Served {
 	if h.L1D.Lookup(addr) {
-		return h.cfg.L1D.Latency
+		return ServedL1
 	}
 	if h.L2.Lookup(addr) {
 		h.L1D.Fill(addr)
-		return h.cfg.L2.Latency
+		return ServedL2
 	}
 	if h.L3.Lookup(addr) {
 		h.L2.Fill(addr)
 		h.L1D.Fill(addr)
-		return h.cfg.L3.Latency
+		return ServedL3
 	}
 	h.L3.Fill(addr)
 	h.L2.Fill(addr)
 	h.L1D.Fill(addr)
-	return h.cfg.MemLatency
+	return ServedMem
 }
 
 // fillQuiet installs a line for a prefetch without touching demand
@@ -108,29 +155,41 @@ func (h *Hierarchy) fillQuiet(addr uint64) {
 // InstAccess performs an instruction fetch access and returns its
 // latency. Instruction fetch misses walk the same L2/L3/memory path.
 func (h *Hierarchy) InstAccess(pc uint64) int {
+	return h.InstLatency(h.Inst(pc))
+}
+
+// Inst is InstAccess reporting the level that served the fetch instead
+// of its latency.
+func (h *Hierarchy) Inst(pc uint64) Served {
 	if h.L1I.Lookup(pc) {
-		return h.cfg.L1I.Latency
+		return ServedL1
 	}
 	if h.L2.Lookup(pc) {
 		h.L1I.Fill(pc)
-		return h.cfg.L2.Latency
+		return ServedL2
 	}
 	if h.L3.Lookup(pc) {
 		h.L2.Fill(pc)
 		h.L1I.Fill(pc)
-		return h.cfg.L3.Latency
+		return ServedL3
 	}
 	h.L3.Fill(pc)
 	h.L2.Fill(pc)
 	h.L1I.Fill(pc)
-	return h.cfg.MemLatency
+	return ServedMem
 }
+
+// InstLatency returns the cycles of an instruction fetch served at
+// level s.
+func (h *Hierarchy) InstLatency(s Served) int { return h.instLat[s&3] }
 
 // ProbeD models the Predicted Address Queue's data-cache probe (paper
 // Figure 1, step 3): it reports whether the predicted address hits in
-// the L1 data cache and the probe latency. On a miss no speculative
-// value is produced; the optional prefetch (step 5) is disabled, as in
-// the paper, so the probe does not allocate.
+// the L1 data cache and the probe latency. The probe never allocates;
+// on a miss no speculative value is produced, and the pipeline issues
+// the optional step-5 prefetch through PrefetchAccess when
+// cpu.Config.PAQPrefetchOnMiss is set (the default here; the paper
+// disables it, see DESIGN.md §5a.1).
 func (h *Hierarchy) ProbeD(addr uint64) (latency int, hit bool) {
 	if h.L1D.Peek(addr) {
 		return h.cfg.L1D.Latency, true
@@ -144,7 +203,7 @@ func (h *Hierarchy) ProbeD(addr uint64) (latency int, hit bool) {
 // DataAccess it does not train the stride prefetcher (it is not a
 // demand access).
 func (h *Hierarchy) PrefetchAccess(addr uint64) int {
-	return h.dataFillPath(addr)
+	return h.DataLatency(h.dataFillPath(addr))
 }
 
 // Flush invalidates all cached state (used between simulation runs).
@@ -170,5 +229,29 @@ func (h *Hierarchy) Reset() {
 	h.TLB.Reset()
 	if h.Prefetch != nil {
 		h.Prefetch.Reset()
+	}
+}
+
+// Stats returns a snapshot of the hierarchy's counters.
+func (h *Hierarchy) Stats() HierarchyStats {
+	s := HierarchyStats{
+		L1I: h.L1I.stats, L1D: h.L1D.stats, L2: h.L2.stats, L3: h.L3.stats,
+		TLB: h.TLB.stats,
+	}
+	if h.Prefetch != nil {
+		s.Prefetch = h.Prefetch.stats
+	}
+	return s
+}
+
+// SetStats overwrites the hierarchy's counters with s and leaves its
+// cached lines as they are. A run that replays recorded accesses
+// instead of performing them installs the counters the recorded run
+// ended with, so the hierarchy reads as it would after the live run.
+func (h *Hierarchy) SetStats(s HierarchyStats) {
+	h.L1I.stats, h.L1D.stats, h.L2.stats, h.L3.stats = s.L1I, s.L1D, s.L2, s.L3
+	h.TLB.stats = s.TLB
+	if h.Prefetch != nil {
+		h.Prefetch.stats = s.Prefetch
 	}
 }

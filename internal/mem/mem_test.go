@@ -314,6 +314,45 @@ func TestHierarchyL2HitAfterL1Eviction(t *testing.T) {
 	}
 }
 
+// TestHierarchyServed pins the access codes against the latencies:
+// a cold access walks the TLB and misses to memory, a repeat hits the
+// L1 with the translation cached, and an access's code turned back into
+// cycles equals what the latency-returning call gives on a twin
+// hierarchy fed the same stream, whose counters it also ends with.
+func TestHierarchyServed(t *testing.T) {
+	cfg := DefaultHierarchyConfig()
+	h, twin := NewHierarchy(cfg), NewHierarchy(cfg)
+	if s := h.Data(0x40, 0x5000); s != ServedMem|ServedWalk {
+		t.Fatalf("cold access served as %d, want memory with a TLB walk", s)
+	}
+	if s := h.Data(0x40, 0x5000); s != ServedL1 {
+		t.Fatalf("repeat access served as %d, want L1", s)
+	}
+	if s := h.Inst(0x400); s != ServedMem {
+		t.Fatalf("cold fetch served as %d, want memory", s)
+	}
+	twin.DataAccess(0x40, 0x5000)
+	twin.DataAccess(0x40, 0x5000)
+	twin.InstAccess(0x400)
+	for i := uint64(0); i < 4096; i++ {
+		addr := 0x100000 + i*i*40%(1<<24)
+		if got, want := h.DataLatency(h.Data(0x40+i%7*4, addr)), twin.DataAccess(0x40+i%7*4, addr); got != want {
+			t.Fatalf("access %d: code reads %d cycles, DataAccess %d", i, got, want)
+		}
+		if got, want := h.InstLatency(h.Inst(0x400+i*16)), twin.InstAccess(0x400+i*16); got != want {
+			t.Fatalf("fetch %d: code reads %d cycles, InstAccess %d", i, got, want)
+		}
+	}
+	if h.Stats() != twin.Stats() {
+		t.Fatalf("counters diverged:\n%+v\n%+v", h.Stats(), twin.Stats())
+	}
+	fresh := NewHierarchy(cfg)
+	fresh.SetStats(h.Stats())
+	if fresh.Stats() != h.Stats() || fresh.L1D.Peek(0x5000) {
+		t.Fatal("SetStats did not install the counters alone")
+	}
+}
+
 func TestHierarchyProbeD(t *testing.T) {
 	cfg := DefaultHierarchyConfig()
 	cfg.PrefetchEnabled = false
@@ -322,7 +361,8 @@ func TestHierarchyProbeD(t *testing.T) {
 	if _, hit := h.ProbeD(addr); hit {
 		t.Error("probe hit cold cache")
 	}
-	// Probe must not allocate (prefetch on PAQ miss is disabled).
+	// The probe never allocates: a PAQ miss prefetches through
+	// PrefetchAccess, which the pipeline calls itself.
 	if h.L1D.Peek(addr) {
 		t.Error("ProbeD allocated a line")
 	}

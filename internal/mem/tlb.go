@@ -70,12 +70,21 @@ func (t *TLB) Stats() CacheStats { return t.stats }
 // Access translates addr: it returns the added latency (zero on a hit,
 // the walk penalty on a miss) and installs the translation.
 func (t *TLB) Access(addr uint64) int {
+	if t.walk(addr) {
+		return t.cfg.WalkLatency
+	}
+	return 0
+}
+
+// walk translates addr, installing the translation, and reports whether
+// it missed.
+func (t *TLB) walk(addr uint64) bool {
 	t.clock++
 	page := addr >> t.shift
 	if page == t.memoPage && t.memoEntry != nil {
 		t.memoEntry.lastUse = t.clock
 		t.stats.Hits++
-		return 0
+		return false
 	}
 	base := int(page&t.setMask) * t.ways
 	set := t.entries[base : base+t.ways]
@@ -87,7 +96,7 @@ func (t *TLB) Access(addr uint64) int {
 			e.lastUse = t.clock
 			t.stats.Hits++
 			t.memoPage, t.memoEntry = page, e
-			return 0
+			return false
 		}
 		if e.gen != t.gen {
 			victim = w
@@ -102,7 +111,7 @@ func (t *TLB) Access(addr uint64) int {
 	set[victim] = tlbEntry{gen: t.gen, tag: tag, lastUse: t.clock}
 	t.stats.Fills++
 	t.memoEntry = nil // the victim may have been the memoized entry
-	return t.cfg.WalkLatency
+	return true
 }
 
 // Flush invalidates all translations (constant-time generation bump).

@@ -25,15 +25,17 @@ type Replay struct {
 }
 
 // recording is what every cursor over one recording shares besides its
-// instructions and memory image: the branch-outcome slots. Its address
+// instructions and memory image: the outcome slots. Its address
 // identifies the recording (see RecordingID).
 type recording struct {
 	// branches holds the outcomes of single-context runs over the
 	// recording, mix those of interleaved runs whose context 0 it is.
 	// The two kinds of run feed the branch predictors different
-	// streams, so each keeps its own slot.
+	// streams, so each keeps its own slot. hier holds what the memory
+	// hierarchy made of a single-context run.
 	branches atomic.Pointer[BranchOutcomes]
 	mix      atomic.Pointer[MixOutcomes]
+	hier     atomic.Pointer[HierarchyOutcomes]
 }
 
 // RecordingID identifies a recording: every cursor over it, prefixes
@@ -88,6 +90,30 @@ type MixContext struct {
 	Recording    RecordingID
 	Len          int      // the context's instructions, all of them run
 	Mispredicted []uint64 // bit i%64 of word i/64: instruction i mispredicted
+}
+
+// HierarchyOutcomes is what the memory hierarchy made of a complete
+// single-context run over the first Len instructions of a recording:
+// how it served each access and its counters at the end. When no value
+// predictor reaches the caches, the hierarchy sees one fetch per
+// instruction, one access per store, and one per load whose word no
+// store among the ForwardWindow instructions before it wrote, all in
+// program order. That stream depends only on the instructions, so the
+// pipeline records the outcomes on a recording's first run and replays
+// them on later ones (DESIGN.md §8). Published outcomes are read-only.
+type HierarchyOutcomes struct {
+	Config        mem.HierarchyConfig
+	ForwardWindow int // the store-forwarding window, 4·STQ instructions
+	Len           int // instructions covered, from the first
+
+	// Loads holds how the hierarchy served each load that accessed the
+	// data cache, in program order; stores need no entry, since
+	// nothing waits on their latency.
+	Loads []mem.Served
+	// FetchMisses lists the fetches the L1I missed, in program order,
+	// each the instruction's index << 2 | the level that served it.
+	FetchMisses []uint64
+	Stats       mem.HierarchyStats
 }
 
 // maxHintAhead bounds how far Record's size hint may run ahead of the
@@ -163,8 +189,8 @@ func NewReplay(insts []Inst, image *mem.Backing) *Replay {
 // read-only by contract: the slice is never written after Record, and
 // consumers that apply stores do so on their own copy of the image (the
 // pipeline clones or CopyFroms it at Run start; Backing.CopyFrom reads
-// only the source's pages, never its internal read memo). The
-// branch-outcome slots are shared too.
+// only the source's pages, never its internal read memo). The outcome
+// slots are shared too.
 func (r *Replay) Cursor() *Replay {
 	return &Replay{insts: r.insts, mem: r.mem, rec: r.rec}
 }
@@ -173,9 +199,10 @@ func (r *Replay) Cursor() *Replay {
 // instructions of the recording (0 or past-the-end means the whole
 // recording). External workloads resolve Build(n) through this: the
 // registered trace is recorded once and every budget replays a prefix.
-// A prefix shares the recording's branch-outcome slots: single-context
+// A prefix shares the recording's outcome slots: single-context branch
 // outcomes cover instructions from the first, so they serve every
-// shorter run; a mix's outcomes name each context's length.
+// shorter run; hierarchy outcomes and a mix's outcomes name the length
+// they cover.
 func (r *Replay) CursorN(n uint64) *Replay {
 	insts := r.insts
 	if n > 0 && n < uint64(len(insts)) {
@@ -214,6 +241,17 @@ func (r *Replay) MixOutcomes() *MixOutcomes { return r.rec.mix.Load() }
 // slot) and reports whether it did.
 func (r *Replay) PublishMixOutcomes(old, o *MixOutcomes) bool {
 	return r.rec.mix.CompareAndSwap(old, o)
+}
+
+// HierarchyOutcomes returns the hierarchy outcomes last published for
+// the recording, or nil when none have been.
+func (r *Replay) HierarchyOutcomes() *HierarchyOutcomes { return r.rec.hier.Load() }
+
+// PublishHierarchyOutcomes installs o as the recording's hierarchy
+// outcomes if the slot still holds old (nil for an empty slot) and
+// reports whether it did.
+func (r *Replay) PublishHierarchyOutcomes(old, o *HierarchyOutcomes) bool {
+	return r.rec.hier.CompareAndSwap(old, o)
 }
 
 // Remaining exposes the not-yet-consumed tail of the recording as a
