@@ -32,15 +32,12 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/cpu"
 	"repro/internal/expt"
 	otrace "repro/internal/obs/trace"
 	"repro/internal/prof"
@@ -50,27 +47,6 @@ import (
 	"repro/internal/trace"
 	"repro/internal/tracein"
 )
-
-// buildGen returns the instruction source: a recorded trace when
-// -replay is given, otherwise a live workload generator.
-func buildGen(workload string, insts uint64, replay string) (trace.Generator, string, error) {
-	if replay != "" {
-		f, err := os.Open(replay)
-		if err != nil {
-			return nil, "", err
-		}
-		rd, err := trace.NewTraceReader(f)
-		if err != nil {
-			return nil, "", err
-		}
-		return rd, replay, nil
-	}
-	w, ok := trace.ByName(workload)
-	if !ok {
-		return nil, "", fmt.Errorf("unknown workload %q (see -list)", workload)
-	}
-	return w.Build(insts), w.Name, nil
-}
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, err)
@@ -154,98 +130,87 @@ func buildSpec(specFile, preset string, fs *flag.FlagSet,
 		label = *predictor
 	}
 
-	sim.Normalize(spec.Defaults{})
+	// A zero budget or seed means this CLI's default, as it does lvpd's.
+	sim.Normalize(spec.Defaults{Insts: server.DefaultInsts, Seed: server.DefaultSeed})
 	if label == "" {
 		label = string(sim.Predictor.Family)
 	}
 	return sim, label
 }
 
-// newEngine builds sim's engine, seeded from the spec's seed and
-// workload label as lvpd, the figures and lvpbench seed theirs, so a
-// spec gives the same result here as on every other surface.
-func newEngine(sim spec.Sim) (cpu.Engine, error) {
-	return spec.NewEngine(sim.Predictor, sim.Workload.Insts, expt.DeriveEngineSeed(sim.Run.Seed, sim.WorkloadLabel()))
+// outcome is one lvpsim run: the baseline, the configured run (the
+// baseline itself under the none family), the composite behind the
+// engine, if any, and the RunResult lvpd would serve for the spec.
+type outcome struct {
+	base, run expt.SMTResult
+	comp      *core.Composite
+	res       server.RunResult
 }
 
-// runSMT simulates a multi-context spec: one independently-seeded
-// stream per hardware context, interleaved on a single pipeline whose
-// predictors, caches, and TLBs are shared across contexts. Output
-// mirrors the single-context path, plus one line per context.
-func runSMT(sim spec.Sim, label string, jsonOut bool, phaseSpan func(string) func()) {
-	streams := sim.ContextStreams()
-	newGens := func() []trace.Generator {
-		gens := make([]trace.Generator, len(streams))
-		for i, s := range streams {
-			g, ok := trace.BuildStream(s, sim.Workload.Insts)
-			if !ok {
-				fatal(fmt.Errorf("unknown stream %q (see -list)", s))
-			}
-			gens[i] = g
-		}
-		return gens
-	}
-	collect := func(merged stats.Run, p *cpu.Pipeline) expt.SMTResult {
-		per := make([]stats.Run, p.NumContexts())
-		for i := range per {
-			per[i] = p.ContextRun(i)
-		}
-		return expt.SMTResult{Merged: merged, Per: per}
-	}
-	emitJSON := func(run, base expt.SMTResult, comp *core.Composite) {
-		res := server.NewSMTRunResult(run, base, streams, comp)
-		res.Predictor = label
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
-			fatal(err)
-		}
-	}
-
+// simulate runs sim's baseline and configured run through the expt
+// calls lvpd and the figures make, so a spec gives the same result on
+// every surface; label is the predictor the result echoes, and
+// phaseSpan brackets each phase.
+func simulate(sim spec.Sim, label string, phaseSpan func(string) func()) outcome {
+	ectx := expt.NewContext(expt.Options{Insts: sim.Workload.Insts, Seed: sim.Run.Seed})
 	ctx := context.Background()
-	cfg := sim.Machine.Config()
-	pipe := cpu.Acquire(cfg, nil)
-	defer cpu.Release(pipe)
+	var o outcome
+	end := phaseSpan("baseline")
+	o.base, _ = ectx.Baseline(ctx, sim)
+	end()
+	o.run = o.base
+	if sim.Predictor.Family != spec.FamilyNone {
+		end = phaseSpan("run")
+		o.run, o.comp = ectx.Simulate(ctx, sim)
+		end()
+	}
+	o.res = server.NewSimResult(sim, label, o.run, o.base, o.comp)
+	return o
+}
 
-	endBase := phaseSpan("baseline")
-	base := collect(pipe.RunSMTCtx(ctx, newGens(), sim.ContextWorkloads(), sim.WorkloadLabel(), "baseline"), pipe)
-	endBase()
-	if !jsonOut {
+// printText prints o as text: the baseline, then the configured run
+// with its flushes, with one line per context on a multi-context
+// machine. details adds a single-context composite's per-component
+// statistics.
+func printText(o outcome, sim spec.Sim, label string, details bool) {
+	base, run := o.base.Merged, o.run.Merged
+	if len(o.base.Per) == 0 {
+		fmt.Printf("baseline:  IPC=%.3f (%d instructions, %d cycles, %d loads)\n",
+			base.IPC(), base.Instructions, base.Cycles, base.Loads)
+	} else {
 		fmt.Printf("baseline:  IPC=%.3f (%d contexts, %d instructions, %d cycles)\n",
-			base.Merged.IPC(), len(streams), base.Merged.Instructions, base.Merged.Cycles)
-		for i, r := range base.Per {
+			base.IPC(), len(o.base.Per), base.Instructions, base.Cycles)
+		for i, r := range o.base.Per {
 			fmt.Printf("   ctx%d %-12s IPC=%.3f\n", i, r.Workload+":", r.IPC())
 		}
 	}
 	if sim.Predictor.Family == spec.FamilyNone {
-		if jsonOut {
-			emitJSON(base, base, nil)
-		}
-		return
-	}
-
-	engine, err := newEngine(sim)
-	if err != nil {
-		fatal(err)
-	}
-	comp := server.CompositeFromEngine(engine)
-	pipe.Reset(cfg, engine)
-	endRun := phaseSpan("run")
-	run := collect(pipe.RunSMTCtx(ctx, newGens(), sim.ContextWorkloads(), sim.WorkloadLabel(), label), pipe)
-	endRun()
-	if jsonOut {
-		emitJSON(run, base, comp)
 		return
 	}
 	fmt.Printf("%-9s  IPC=%.3f  speedup=%+.2f%%  coverage=%.1f%%  accuracy=%.4f\n",
-		label+":", run.Merged.IPC(), stats.Speedup(run.Merged, base.Merged),
-		run.Merged.Coverage(), run.Merged.Accuracy())
-	for i, r := range run.Per {
+		label+":", run.IPC(), stats.Speedup(run, base), run.Coverage(), run.Accuracy())
+	for i, r := range o.run.Per {
 		fmt.Printf("   ctx%d %-12s IPC=%.3f  speedup=%+.2f%%  coverage=%.1f%%  accuracy=%.4f\n",
-			i, r.Workload+":", r.IPC(), stats.Speedup(r, base.Per[i]), r.Coverage(), r.Accuracy())
+			i, r.Workload+":", r.IPC(), stats.Speedup(r, o.base.Per[i]), r.Coverage(), r.Accuracy())
 	}
 	fmt.Printf("           flushes: value=%d branch=%d memorder=%d\n",
-		run.Merged.VPFlushes, run.Merged.BranchFlushes, run.Merged.MemOrderFlushes)
+		run.VPFlushes, run.BranchFlushes, run.MemOrderFlushes)
+
+	if !details || o.comp == nil || len(o.run.Per) > 0 {
+		return
+	}
+	st := o.comp.Stats()
+	fmt.Printf("           predicted loads: %d of %d probes; multi-confident: %d\n",
+		st.PredictedLoads, st.Probes,
+		st.ConfidentHistogram[2]+st.ConfidentHistogram[3]+st.ConfidentHistogram[4])
+	for c := core.Component(0); c < core.NumComponents; c++ {
+		if o.comp.Component(c) == nil {
+			continue
+		}
+		fmt.Printf("           %v: used=%d correct=%d incorrect=%d\n",
+			c, st.UsedBy[c], st.CorrectBy[c], st.IncorrectBy[c])
+	}
+	fmt.Printf("           storage: %.2fKB\n", o.comp.StorageKB())
 }
 
 func main() {
@@ -257,15 +222,13 @@ func main() {
 		predictor = flag.String("predictor", "composite", "none|lvp|sap|cvp|cap|composite|best|eves")
 		entries   = flag.Int("entries", 1024, "table entries per component")
 		budget    = flag.Int("budget", 32, "EVES budget in KB (0 = infinite)")
-		insts     = flag.Uint64("insts", 200_000, "instructions to simulate")
-		seed      = flag.Uint64("seed", 0xC0FFEE, "simulation seed")
+		insts     = flag.Uint64("insts", server.DefaultInsts, "instructions to simulate (0 = the default)")
+		seed      = flag.Uint64("seed", server.DefaultSeed, "simulation seed (0 = the default)")
 		am        = flag.String("am", "pc", "accuracy monitor for composite: none|m|pc|pcinf")
 		specFile  = flag.String("spec", "", "load the simulation spec from this JSON file (flags you set override it)")
 		preset    = flag.String("preset", "", "start from a named spec preset (see internal/spec)")
 		dumpSpec  = flag.Bool("dump-spec", false, "print the resolved canonical spec as JSON and exit")
 		details   = flag.Bool("details", false, "print per-component composite statistics")
-		record    = flag.String("record", "", "record the workload's trace to this file and exit")
-		replay    = flag.String("replay", "", "simulate a recorded trace file instead of a workload")
 		traceFile = flag.String("trace", "", "simulate an external CVP-1-style trace file (LVPX): convert, register as ext:<hash>, run")
 		traceInfo = flag.String("trace-info", "", "print an external trace file's header and conversion report, then exit")
 		jsonOut   = flag.Bool("json", false, "emit the run result as one JSON object on stdout")
@@ -347,12 +310,7 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "trace %s: %d instructions registered as %s\n", *traceFile, info.Insts, extName)
 	}
-	if *replay != "" {
-		// Replayed traces are not named workloads; validate the rest.
-		if err := sim.ValidateConfig(); err != nil {
-			fatal(err)
-		}
-	} else if err := sim.Validate(); err != nil {
+	if err := sim.Validate(); err != nil {
 		fatal(err)
 	}
 
@@ -366,40 +324,6 @@ func main() {
 		return
 	}
 
-	if *record != "" {
-		w, ok := trace.ByName(sim.Workload.Name)
-		if !ok {
-			fatal(fmt.Errorf("unknown workload %q (see -list)", sim.Workload.Name))
-		}
-		f, err := os.Create(*record)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		n, err := trace.WriteTrace(f, w.Build(sim.Workload.Insts))
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("recorded %d instructions of %s to %s\n", n, w.Name, *record)
-		return
-	}
-
-	newGen := func() trace.Generator {
-		gen, _, err := buildGen(sim.Workload.Name, sim.Workload.Insts, *replay)
-		if err != nil {
-			fatal(err)
-		}
-		return gen
-	}
-	name := sim.Workload.Name
-	if *replay != "" {
-		name = *replay
-	}
-
 	// With -trace-out the CLI records the same span shapes the daemon
 	// does (a root with baseline/run children) and writes them as Chrome
 	// trace-event JSON on the way out.
@@ -409,7 +333,7 @@ func main() {
 		tracer = otrace.NewRecorder("lvpsim", 0)
 		var root *otrace.Span
 		rootCtx, root = tracer.StartSpan(rootCtx, "lvpsim",
-			otrace.String("workload", name), otrace.String("predictor", label))
+			otrace.String("workload", sim.Workload.Name), otrace.String("predictor", label))
 		defer func() {
 			root.Finish()
 			f, err := os.Create(*traceOut)
@@ -438,82 +362,14 @@ func main() {
 		return s.Finish
 	}
 
-	if sim.Machine.NumContexts() > 1 {
-		if *replay != "" {
-			fatal(errors.New("-replay replays one recorded stream; it cannot drive a multi-context run"))
-		}
-		runSMT(sim, label, *jsonOut, phaseSpan)
-		return
-	}
-
-	// emitJSON prints the run/baseline pair in the service's response
-	// schema (internal/server.RunResult), keeping CLI and daemon
-	// outputs field-for-field identical.
-	emitJSON := func(run, base stats.Run, comp *core.Composite) {
-		res := server.NewRunResult(run, base, comp)
-		res.Predictor = label // echo the request, not the run's config label
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-
-	// One pooled pipeline serves both runs: Reset swaps the engine in
-	// without reallocating the core's tables. The machine comes from
-	// the spec (Table III plus the spec's deltas).
-	cfg := sim.Machine.Config()
-	pipe := cpu.Acquire(cfg, nil)
-	defer cpu.Release(pipe)
-	endBase := phaseSpan("baseline")
-	base := pipe.Run(newGen(), name, "baseline")
-	endBase()
+	o := simulate(sim, label, phaseSpan)
 	if !*jsonOut {
-		fmt.Printf("baseline:  IPC=%.3f (%d instructions, %d cycles, %d loads)\n",
-			base.IPC(), base.Instructions, base.Cycles, base.Loads)
-	}
-	if sim.Predictor.Family == spec.FamilyNone {
-		if *jsonOut {
-			emitJSON(base, base, nil)
-		}
+		printText(o, sim, label, *details)
 		return
 	}
-
-	// The spec registry is the single mapping from predictor specs to
-	// engines; epoch-based machinery (M-AM, fusion) is scaled to the
-	// run length exactly as in the experiments and the daemon.
-	engine, err := newEngine(sim)
-	if err != nil {
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(o.res); err != nil {
 		fatal(err)
-	}
-	comp := server.CompositeFromEngine(engine)
-
-	pipe.Reset(cfg, engine)
-	endRun := phaseSpan("run")
-	run := pipe.Run(newGen(), name, label)
-	endRun()
-	if *jsonOut {
-		emitJSON(run, base, comp)
-		return
-	}
-	fmt.Printf("%-9s  IPC=%.3f  speedup=%+.2f%%  coverage=%.1f%%  accuracy=%.4f\n",
-		label+":", run.IPC(), stats.Speedup(run, base), run.Coverage(), run.Accuracy())
-	fmt.Printf("           flushes: value=%d branch=%d memorder=%d\n",
-		run.VPFlushes, run.BranchFlushes, run.MemOrderFlushes)
-
-	if *details && comp != nil {
-		st := comp.Stats()
-		fmt.Printf("           predicted loads: %d of %d probes; multi-confident: %d\n",
-			st.PredictedLoads, st.Probes,
-			st.ConfidentHistogram[2]+st.ConfidentHistogram[3]+st.ConfidentHistogram[4])
-		for c := core.Component(0); c < core.NumComponents; c++ {
-			if comp.Component(c) == nil {
-				continue
-			}
-			fmt.Printf("           %v: used=%d correct=%d incorrect=%d\n",
-				c, st.UsedBy[c], st.CorrectBy[c], st.IncorrectBy[c])
-		}
-		fmt.Printf("           storage: %.2fKB\n", comp.StorageKB())
 	}
 }

@@ -48,14 +48,14 @@ type Options struct {
 // Context memoizes simulations and fans them out over a worker pool.
 // It is safe for concurrent use.
 //
-// The memo holds every run a Context simulates from a spec alone —
-// single- and multi-context baselines, and each (workload, machine,
-// predictor) point a figure asks for — keyed by the canonical hash of
+// Baseline and Simulate are the one path from a spec to a result:
+// lvpsim and lvpd call them, and Runs takes the same two steps for the
+// figures, memoizing the configured run too. The memo holds every
+// baseline and every run Runs asks for, keyed by the canonical hash of
 // the run's full spec.Sim at the context's budget and seed, the key
 // lvpd's result cache and warehouse use. Each key is simulated at most
 // once: concurrent callers wait for the in-flight run. Aborted runs are
-// returned but never memoized, and runs handed an engine
-// (RunEngineCfg*Ctx, RunSMT*Ctx) bypass the memo.
+// returned but never memoized, and Simulate bypasses the memo.
 type Context struct {
 	insts  uint64
 	seed   uint64
@@ -83,6 +83,17 @@ type memoEntry struct {
 type memoRun struct {
 	SMTResult
 	comp core.CompositeStats
+}
+
+// Progress names a run's live progress slots: the pipeline publishes
+// the machine-wide snapshot (run counters plus the engine's
+// per-component telemetry) into All and context i's own snapshot into
+// Rows[i] every Every instructions (cpu.DefaultProgressInterval when
+// Every <= 0). Nil slots publish nothing.
+type Progress struct {
+	All   *cpu.Progress
+	Rows  []*cpu.Progress
+	Every int
 }
 
 // NewContext builds a context from opts. It panics on an unknown
@@ -138,6 +149,34 @@ func (c *Context) Seed() uint64 { return c.seed }
 // Pool returns the workload pool.
 func (c *Context) Pool() []trace.Workload { return c.pool }
 
+// Baseline returns the no-VP run of sim's machine and workload mix at
+// the context's budget and seed, from the memo, and reports whether a
+// complete run was memoized when the call began. On a miss it waits for
+// an in-flight run of the same spec, or simulates one and publishes its
+// progress into the first progress value, if any.
+func (c *Context) Baseline(ctx context.Context, sim spec.Sim, progress ...Progress) (SMTResult, bool) {
+	r, memoized := c.run(ctx, c.baselineOf(sim), slots(progress))
+	return r.SMTResult, memoized
+}
+
+// Simulate runs sim at the context's budget and seed on a fresh engine
+// from the spec registry, seeded through EngineSeedLabel, and publishes
+// its progress into the first progress value, if any. It returns the
+// machine-wide run (with the per-context runs on a multi-context
+// machine) and the composite behind the engine, nil for other predictor
+// families. The run is not memoized.
+func (c *Context) Simulate(ctx context.Context, sim spec.Sim, progress ...Progress) (SMTResult, *core.Composite) {
+	return c.simulate(ctx, c.canonical(sim), slots(progress))
+}
+
+// slots returns the progress slots of an optional progress argument.
+func slots(progress []Progress) Progress {
+	if len(progress) == 0 {
+		return Progress{}
+	}
+	return progress[0]
+}
+
 // canonical fills sim's budget and seed from the context and
 // normalizes it, so it hashes like the spec of an lvpd job for the
 // same run.
@@ -155,26 +194,18 @@ func (c *Context) baselineOf(sim spec.Sim) spec.Sim {
 	return c.canonical(sim)
 }
 
-// memoized reports whether the canonical spec's run is in the memo.
-func (c *Context) memoized(sim spec.Sim) bool {
-	key := sim.CanonicalHash()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e := c.memo[key]
-	return e != nil && e.ok
-}
-
 // run returns the memoized run of a canonical spec, simulating it if no
-// complete run is memoized and none is in flight. Only the caller that
-// simulates publishes progress into pr (and rows, per context).
-func (c *Context) run(ctx context.Context, sim spec.Sim, pr *cpu.Progress, rows []*cpu.Progress, every int) memoRun {
+// complete run is memoized and none is in flight, and reports whether a
+// complete run was memoized when the call began. Only the caller that
+// simulates publishes progress into pr.
+func (c *Context) run(ctx context.Context, sim spec.Sim, pr Progress) (memoRun, bool) {
 	key := sim.CanonicalHash()
-	for {
+	for first := true; ; first = false {
 		c.mu.Lock()
 		e := c.memo[key]
 		if e != nil && e.ok {
 			c.mu.Unlock()
-			return e.res
+			return e.res, first
 		}
 		if e != nil {
 			c.mu.Unlock()
@@ -183,30 +214,36 @@ func (c *Context) run(ctx context.Context, sim spec.Sim, pr *cpu.Progress, rows 
 				continue // the run may have aborted; look again
 			case <-ctx.Done():
 				aborted := stats.Run{Workload: sim.WorkloadLabel(), Config: configLabel(sim.Predictor), Aborted: true}
-				return memoRun{SMTResult: SMTResult{Merged: aborted}}
+				return memoRun{SMTResult: SMTResult{Merged: aborted}}, false
 			}
 		}
 		e = &memoEntry{done: make(chan struct{})}
 		c.memo[key] = e
 		c.mu.Unlock()
 
-		r := c.simulate(ctx, sim, pr, rows, every)
+		r, comp := c.simulate(ctx, sim, pr)
+		m := memoRun{SMTResult: r}
+		if comp != nil {
+			m.comp = comp.Stats()
+		}
 		c.mu.Lock()
 		if r.Aborted() {
 			delete(c.memo, key)
 		} else {
-			e.res, e.ok = r, true
+			e.res, e.ok = m, true
 		}
 		c.mu.Unlock()
 		close(e.done)
-		return r
+		return m, false
 	}
 }
 
 // simulate runs a canonical spec with a fresh engine from the spec
-// registry. A multi-context machine runs the spec's mix through the
-// SMT path; a single-context one runs the workload's stream alone.
-func (c *Context) simulate(ctx context.Context, sim spec.Sim, pr *cpu.Progress, rows []*cpu.Progress, every int) memoRun {
+// registry and returns the run and the composite behind the engine, if
+// any. A multi-context machine runs the spec's mix through the SMT
+// path; a single-context one runs the workload's stream alone. This is
+// the only place a spec becomes an engine.
+func (c *Context) simulate(ctx context.Context, sim spec.Sim, pr Progress) (SMTResult, *core.Composite) {
 	eng, err := spec.NewEngine(sim.Predictor, c.insts, c.EngineSeedLabel(sim.WorkloadLabel()))
 	if err != nil {
 		// Unreachable for normalized specs; services validate
@@ -214,20 +251,21 @@ func (c *Context) simulate(ctx context.Context, sim spec.Sim, pr *cpu.Progress, 
 		panic("expt: " + err.Error())
 	}
 	label := configLabel(sim.Predictor)
-	var r memoRun
+	var r SMTResult
 	if sim.Machine.NumContexts() > 1 {
-		r.SMTResult = c.RunSMTProgressCtx(ctx, sim, label, eng, pr, rows, every)
+		r = c.runStreams(ctx, sim, label, eng, pr)
 	} else {
-		r.Merged = c.runStream(ctx, sim.Workload.Name, label, eng, sim.Machine.Config(), pr, every)
+		r.Merged = c.runStream(ctx, sim.Workload.Name, label, eng, sim.Machine.Config(), pr)
 	}
+	var comp *core.Composite
 	if ce, ok := eng.(*cpu.CompositeEngine); ok {
-		r.comp = ce.C.Stats()
+		comp = ce.C
 	}
-	return r
+	return r, comp
 }
 
-// configLabel is the config label of a memoized run: "base" for the
-// no-VP baseline, the predictor family otherwise.
+// configLabel is the config label of a run: "base" for the no-VP
+// baseline, the predictor family otherwise.
 func configLabel(p spec.PredictorSpec) string {
 	if p.Family == spec.FamilyNone {
 		return "base"
@@ -235,66 +273,62 @@ func configLabel(p spec.PredictorSpec) string {
 	return string(p.Family)
 }
 
-// HasBaselineMachine reports whether the named workload's baseline on
-// machine m is already memoized (i.e. BaselineMachineCtx would return
-// without simulating).
-func (c *Context) HasBaselineMachine(name string, m spec.MachineSpec) bool {
-	return c.memoized(c.baselineOf(spec.Sim{Machine: m, Workload: spec.WorkloadSpec{Name: name}}))
+// EngineSeedLabel returns the engine seed of a run whose workload mix
+// has the given label (spec.Sim.WorkloadLabel), derived from the
+// context seed. simulate seeds every spec's engine here, so one spec
+// gives one result on every surface; the VPsec experiment's composite
+// is its only other caller in the program. A homogeneous mix's label is
+// the bare workload name, so a 1-context SMT run seeds identically to
+// the plain run. It is exported for lvpbench only (see below).
+func (c *Context) EngineSeedLabel(label string) uint64 {
+	return core.SplitMix64(c.seed ^ hashName(label))
 }
 
-// BaselineMachineCtx simulates (or returns the memoized) no-VP run for
-// w on the machine described by m. Concurrent callers for the same
-// unmemoized pair wait for the in-flight run instead of recomputing it.
-// Aborted runs (ctx cancelled mid-simulation) are returned to the
-// caller but never memoized.
+// The methods below predate Baseline and Simulate and keep their
+// behaviour for their one remaining caller, lvpbench, until it moves
+// onto those two (ROADMAP item 10). Nothing else should call them.
+
+// BaselineMachineCtx is Baseline's merged run for workload w on
+// machine m. lvpbench-only.
 func (c *Context) BaselineMachineCtx(ctx context.Context, w trace.Workload, m spec.MachineSpec) stats.Run {
-	return c.BaselineMachineProgressCtx(ctx, w, m, nil, 0)
+	r, _ := c.Baseline(ctx, spec.Sim{Machine: m, Workload: spec.WorkloadSpec{Name: w.Name}})
+	return r.Merged
 }
 
-// BaselineMachineProgressCtx is BaselineMachineCtx with a live progress
-// slot: when this caller ends up simulating the baseline (memo miss,
-// no other run in flight), the pipeline publishes a snapshot into pr
-// every `every` instructions. Callers answered from the memo or from
-// another caller's in-flight run observe no publications — the slot
-// reports whatever it last held.
-func (c *Context) BaselineMachineProgressCtx(ctx context.Context, w trace.Workload, m spec.MachineSpec, pr *cpu.Progress, every int) stats.Run {
-	sim := c.baselineOf(spec.Sim{Machine: m, Workload: spec.WorkloadSpec{Name: w.Name}})
-	return c.run(ctx, sim, pr, nil, every).Merged
+// SMTBaselineCtx is Baseline without its memo flag. lvpbench-only.
+func (c *Context) SMTBaselineCtx(ctx context.Context, sim spec.Sim) SMTResult {
+	r, _ := c.Baseline(ctx, sim)
+	return r
 }
 
-// EngineSeed returns the per-workload engine seed derived from the
-// context seed. Exposed so callers that need to keep the engine (e.g.
-// to inspect per-component statistics after the run) can build it
-// themselves.
+// EngineSeed is EngineSeedLabel of w's name. lvpbench-only.
 func (c *Context) EngineSeed(w trace.Workload) uint64 {
 	return c.EngineSeedLabel(w.Name)
 }
 
-// RunEngineCfgCtx simulates workload w with the supplied engine under
-// ctx on core configuration cfg (e.g. one materialized from a
-// spec.MachineSpec). The engine must be fresh (engines are stateful and
-// single-threaded). Pipelines come from the package pool, so repeated
-// runs reuse the hierarchy, branch predictors, and scheduling rings.
-// The run is not memoized.
+// RunEngineCfgCtx simulates workload w on core configuration cfg with
+// the supplied fresh engine, labelling the run config. The run is not
+// memoized. lvpbench-only.
 func (c *Context) RunEngineCfgCtx(ctx context.Context, w trace.Workload, config string, eng cpu.Engine, cfg cpu.Config) stats.Run {
-	return c.RunEngineCfgProgressCtx(ctx, w, config, eng, cfg, nil, 0)
+	return c.runStream(ctx, w.Name, config, eng, cfg, Progress{})
 }
 
-// RunEngineCfgProgressCtx is RunEngineCfgCtx with a live progress slot:
-// the pipeline publishes a snapshot (run counters plus the engine's
-// per-component telemetry) into pr every `every` instructions. Pass a
-// nil pr for no probe; every <= 0 selects cpu.DefaultProgressInterval.
-func (c *Context) RunEngineCfgProgressCtx(ctx context.Context, w trace.Workload, config string, eng cpu.Engine, cfg cpu.Config, pr *cpu.Progress, every int) stats.Run {
-	return c.runStream(ctx, w.Name, config, eng, cfg, pr, every)
+// RunSMTCtx simulates a normalized multi-context spec with the supplied
+// fresh engine and returns the merged and per-context runs, each
+// labelled config. The run is not memoized. lvpbench-only.
+func (c *Context) RunSMTCtx(ctx context.Context, sim spec.Sim, config string, eng cpu.Engine) SMTResult {
+	return c.runStreams(ctx, sim, config, eng, Progress{})
 }
 
-// runStream simulates one stream on a single-context pipeline.
-func (c *Context) runStream(ctx context.Context, stream, config string, eng cpu.Engine, cfg cpu.Config, pr *cpu.Progress, every int) stats.Run {
+// runStream simulates one stream on a pooled single-context pipeline.
+// Pipelines come from the package pool, so repeated runs reuse the
+// hierarchy, branch predictors, and scheduling rings.
+func (c *Context) runStream(ctx context.Context, stream, config string, eng cpu.Engine, cfg cpu.Config, pr Progress) stats.Run {
 	p := cpu.Acquire(cfg, eng)
 	defer cpu.Release(p)
-	if pr != nil {
+	if pr.All != nil {
 		// Attach after Acquire: the pool's Reset detaches slots.
-		p.SetProgress(pr, every)
+		p.SetProgress(pr.All, pr.Every)
 	}
 	return p.RunCtx(ctx, c.gen(stream), stream, config)
 }
@@ -332,8 +366,8 @@ func (c *Context) Runs(sim spec.Sim) []Pair {
 	c.forEach(func(i int, w trace.Workload) {
 		one := sim
 		one.Workload = spec.WorkloadSpec{Name: w.Name}
-		base := c.run(context.Background(), c.baselineOf(one), nil, nil, 0)
-		run := c.run(context.Background(), c.canonical(one), nil, nil, 0)
+		base, _ := c.Baseline(context.Background(), one)
+		run, _ := c.run(context.Background(), c.canonical(one), Progress{})
 		out[i] = Pair{Workload: w.Name, Run: run.Merged, Base: base.Merged, Comp: run.comp}
 	})
 	return out

@@ -14,12 +14,18 @@ import (
 
 // baseline returns w's Table III baseline from c's memo.
 func baseline(c *Context, w trace.Workload) stats.Run {
-	return c.BaselineMachineCtx(context.Background(), w, spec.MachineSpec{})
+	r, _ := c.Baseline(context.Background(), solo(w))
+	return r.Merged
+}
+
+// solo is the single-context spec of w on the Table III machine.
+func solo(w trace.Workload) spec.Sim {
+	return spec.Sim{Workload: spec.WorkloadSpec{Name: w.Name}}
 }
 
 // baselineKey is the memo key of w's Table III baseline.
 func baselineKey(c *Context, w trace.Workload) string {
-	return c.baselineOf(spec.Sim{Workload: spec.WorkloadSpec{Name: w.Name}}).CanonicalHash()
+	return c.baselineOf(solo(w)).CanonicalHash()
 }
 
 func TestSummarizeEmptyNonNil(t *testing.T) {
@@ -117,7 +123,7 @@ func TestBaselineSingleflight(t *testing.T) {
 			t.Fatalf("caller %d got a different baseline: %+v vs %+v", i, results[i], results[0])
 		}
 	}
-	if !c.HasBaselineMachine(w.Name, spec.MachineSpec{}) {
+	if _, memoized := c.Baseline(context.Background(), solo(w)); !memoized {
 		t.Fatal("baseline not cached after concurrent calls")
 	}
 }
@@ -160,9 +166,9 @@ func TestBaselineCtxCancelledWaiter(t *testing.T) {
 	c.mu.Unlock()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r := c.BaselineMachineCtx(ctx, w, spec.MachineSpec{})
-	if !r.Aborted {
-		t.Fatalf("cancelled waiter returned a non-aborted run: %+v", r)
+	r, memoized := c.Baseline(ctx, solo(w))
+	if !r.Aborted() || memoized {
+		t.Fatalf("cancelled waiter returned a non-aborted or memoized run: %+v", r.Merged)
 	}
 }
 
@@ -171,19 +177,18 @@ func TestBaselineAbortedNotCached(t *testing.T) {
 	w := c.Pool()[0]
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r := c.BaselineMachineCtx(ctx, w, spec.MachineSpec{})
-	if !r.Aborted {
+	if r, _ := c.Baseline(ctx, solo(w)); !r.Aborted() {
 		t.Fatal("baseline under a cancelled context not aborted")
 	}
-	if c.HasBaselineMachine(w.Name, spec.MachineSpec{}) {
+	// A later call with a live context simulates and caches normally.
+	r2, memoized := c.Baseline(context.Background(), solo(w))
+	if memoized {
 		t.Fatal("aborted baseline was cached")
 	}
-	// A later call with a live context simulates and caches normally.
-	r2 := baseline(c, w)
-	if r2.Aborted || r2.Instructions == 0 {
-		t.Fatalf("recovery run after abort looks wrong: %+v", r2)
+	if r2.Aborted() || r2.Merged.Instructions == 0 {
+		t.Fatalf("recovery run after abort looks wrong: %+v", r2.Merged)
 	}
-	if !c.HasBaselineMachine(w.Name, spec.MachineSpec{}) {
+	if _, memoized := c.Baseline(context.Background(), solo(w)); !memoized {
 		t.Fatal("complete baseline not cached")
 	}
 }
@@ -197,18 +202,18 @@ func TestSMTBaselineCancelledNotMemoized(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	r := c.SMTBaselineCtx(ctx, sim)
+	r, _ := c.Baseline(ctx, sim)
 	if el := time.Since(start); el > 10*time.Second {
 		t.Fatalf("cancelled SMT baseline took %v", el)
 	}
 	if !r.Aborted() {
 		t.Fatalf("SMT baseline under a cancelled context not aborted: %+v", r.Merged)
 	}
-	if c.HasSMTBaseline(sim) {
-		t.Fatal("aborted SMT baseline was memoized")
+	if r, memoized := c.Baseline(context.Background(), sim); memoized || r.Aborted() {
+		t.Fatalf("aborted SMT baseline was memoized, or the live one did not complete: %+v", r.Merged)
 	}
-	if r := c.SMTBaselineCtx(context.Background(), sim); r.Aborted() || !c.HasSMTBaseline(sim) {
-		t.Fatalf("live SMT baseline not simulated and memoized: %+v", r.Merged)
+	if _, memoized := c.Baseline(context.Background(), sim); !memoized {
+		t.Fatal("live SMT baseline not memoized")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"repro/internal/cpu"
 	"repro/internal/spec"
 	"repro/internal/trace"
 )
@@ -25,14 +24,7 @@ func smtSim(t *testing.T, contexts int, names ...string) spec.Sim {
 func TestRunSMTDeterministicAcrossTraceSources(t *testing.T) {
 	sim := smtSim(t, 2, "gcc2k", "mcf")
 	c := NewContext(Options{Insts: 10_000, Workloads: []string{"gcc2k"}})
-	mk := func() cpu.Engine {
-		eng, err := spec.NewEngine(sim.Predictor, c.Insts(), c.EngineSeedLabel(sim.WorkloadLabel()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return eng
-	}
-	live := c.RunSMTCtx(context.Background(), sim, "smt", mk())
+	live, _ := c.Simulate(context.Background(), sim)
 
 	// The same spec replayed from recorded artifacts must match.
 	store, err := trace.NewArtifactStore(t.TempDir(), 0)
@@ -40,7 +32,7 @@ func TestRunSMTDeterministicAcrossTraceSources(t *testing.T) {
 		t.Fatal(err)
 	}
 	ct := NewContext(Options{Insts: 10_000, Workloads: []string{"gcc2k"}, Traces: store})
-	replayed := ct.RunSMTCtx(context.Background(), sim, "smt", mk())
+	replayed, _ := ct.Simulate(context.Background(), sim)
 	if live.Merged != replayed.Merged {
 		t.Fatalf("artifact-replayed SMT run diverged:\n got: %+v\nwant: %+v", replayed.Merged, live.Merged)
 	}
@@ -57,10 +49,10 @@ func TestRunSMTDeterministicAcrossTraceSources(t *testing.T) {
 func TestSMTBaselineCachedPerMixAndMachine(t *testing.T) {
 	c := NewContext(Options{Insts: 10_000, Workloads: []string{"gcc2k"}})
 	sim := smtSim(t, 2, "gcc2k", "gcc2k")
-	a := c.SMTBaselineCtx(context.Background(), sim)
-	b := c.SMTBaselineCtx(context.Background(), sim)
-	if a.Merged != b.Merged || len(a.Per) != 2 {
-		t.Fatalf("cached SMT baseline diverged:\n%+v\n%+v", a, b)
+	a, _ := c.Baseline(context.Background(), sim)
+	b, memoized := c.Baseline(context.Background(), sim)
+	if a.Merged != b.Merged || len(a.Per) != 2 || !memoized {
+		t.Fatalf("cached SMT baseline diverged or was not memoized:\n%+v\n%+v", a, b)
 	}
 	// The single-context baseline of the same workload must live under a
 	// different key — the SMT baseline's contention must not leak into it.
@@ -74,7 +66,7 @@ func TestSMTBaselineCachedPerMixAndMachine(t *testing.T) {
 	}
 	// A 4-context baseline of the same mix label is keyed by its machine.
 	sim4 := smtSim(t, 4, "gcc2k", "gcc2k", "gcc2k", "gcc2k")
-	d := c.SMTBaselineCtx(context.Background(), sim4)
+	d, _ := c.Baseline(context.Background(), sim4)
 	if d.Merged == a.Merged {
 		t.Error("4-context baseline collided with the 2-context cache entry")
 	}
@@ -83,7 +75,8 @@ func TestSMTBaselineCachedPerMixAndMachine(t *testing.T) {
 // TestRunsMultiContextMatchesSMT: a multi-context spec over the pool
 // runs each workload as a homogeneous mix through the SMT path, as lvpd
 // does, so its pairs are the merged runs of RunSMTCtx against
-// SMTBaselineCtx, not context 0 of a single-stream run.
+// SMTBaselineCtx, not context 0 of a single-stream run. It also pins
+// those two lvpbench calls to the memo's path.
 func TestRunsMultiContextMatchesSMT(t *testing.T) {
 	names := []string{"a2time", "gcc2k"}
 	pairs := NewContext(Options{Insts: 5_000, Workloads: names}).Runs(spec.Sim{Machine: spec.MachineSpec{Contexts: 2}})

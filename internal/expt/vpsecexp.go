@@ -23,7 +23,7 @@ func VPsec(ctx *Context) Result {
 		stats := make([]vpsec.Stats, len(ctx.Pool()))
 		rate := rate
 		ctx.forEach(func(i int, w trace.Workload) {
-			stats[i] = vpsecRun(w, ctx.Insts(), ctx.Seed(), rate)
+			stats[i] = vpsecRun(ctx, w, rate)
 		})
 		for _, s := range stats {
 			agg.Checked += s.Checked
@@ -57,12 +57,12 @@ func VPsec(ctx *Context) Result {
 // on loads the predictors know (a quorum exists), so the detection rate
 // is bounded by multi-predictor coverage — the overlap of Figure 4 is
 // exactly VPsec's protection surface.
-func vpsecRun(w trace.Workload, insts, seed uint64, rate uint32) vpsec.Stats {
+func vpsecRun(c *Context, w trace.Workload, rate uint32) vpsec.Stats {
 	comp := core.NewComposite(core.CompositeConfig{
 		Entries: core.HomogeneousEntries(256),
-		Seed:    core.SplitMix64(seed ^ hashName(w.Name)),
+		Seed:    c.EngineSeedLabel(w.Name),
 	})
-	return vpsecDrive(comp, w.Build(insts), insts, seed, rate)
+	return vpsecDrive(comp, w.Build(c.insts), c.insts, c.seed, rate)
 }
 
 // vpsecPredictor is the part of the composite vpsecDrive uses.

@@ -270,18 +270,18 @@ func renderLabels(pairs []string) string {
 	return b.String()
 }
 
-// RenderExposition writes families back out in exposition format. Used
-// by the lint round-trip test: parse(render(parse(x))) must equal
-// parse(x).
+// RenderExposition writes families back out in exposition format, so
+// that parse(render(parse(x))) equals parse(x). Every family gets a
+// TYPE line, untyped ones too: it declares a family that has no help
+// and no samples, and it puts each suffixed series after the family
+// that absorbed it.
 func RenderExposition(w io.Writer, fams []Family) error {
 	var b strings.Builder
 	for _, f := range fams {
 		if f.Help != "" {
 			fmt.Fprintf(&b, "# HELP %s %s\n", f.Name, f.Help)
 		}
-		if f.Kind != "untyped" {
-			fmt.Fprintf(&b, "# TYPE %s %s\n", f.Name, f.Kind)
-		}
+		fmt.Fprintf(&b, "# TYPE %s %s\n", f.Name, f.Kind)
 		for _, s := range f.Samples {
 			fmt.Fprintf(&b, "%s%s %s\n", s.Name, renderLabels(s.Labels), formatValue(s.Value))
 		}

@@ -212,10 +212,13 @@ type RunResult struct {
 	StorageKB float64 `json:"storage_kb,omitempty"`
 
 	// SimInstructions counts the instructions simulated to produce
-	// this result: the configured run plus the baseline when the job
-	// had to simulate it (a baseline already cached in the shared
-	// context is not re-counted). Cache-hit responses replay the
-	// producing job's value; JobStatus.CacheHit distinguishes them.
+	// this result: the configured run plus the baseline unless the
+	// baseline was already memoized in the shared context when the job
+	// asked for it. A job that waits for another job's in-flight
+	// baseline counts it too, so concurrent jobs can count one
+	// baseline twice; lvpd_sim_instructions_total counts the same way.
+	// Cache-hit responses replay the producing job's value;
+	// JobStatus.CacheHit distinguishes them.
 	SimInstructions uint64 `json:"sim_instructions,omitempty"`
 
 	// SimMIPS is the producing job's simulation throughput in millions
@@ -261,12 +264,16 @@ func NewRunResult(run, base stats.Run, comp *core.Composite) RunResult {
 	return res
 }
 
-// NewSMTRunResult assembles the response payload of a multi-context
-// run: merged headline metrics plus one ContextResult per context,
-// each speedup computed against the matching context of the SMT
-// baseline. streams names each context's instruction stream.
+// NewSMTRunResult assembles the response payload of a run: merged
+// headline metrics plus, for a multi-context run, one ContextResult per
+// context, each speedup computed against the matching context of the
+// SMT baseline. streams names each context's instruction stream. For a
+// single-context run (no per-context runs) it is NewRunResult's value.
 func NewSMTRunResult(run, base expt.SMTResult, streams []string, comp *core.Composite) RunResult {
 	res := NewRunResult(run.Merged, base.Merged, comp)
+	if len(run.Per) == 0 {
+		return res
+	}
 	res.Contexts = len(run.Per)
 	res.PerContext = make([]ContextResult, len(run.Per))
 	for i, r := range run.Per {
@@ -296,8 +303,23 @@ func NewSMTRunResult(run, base expt.SMTResult, streams []string, comp *core.Comp
 	return res
 }
 
+// NewSimResult is the RunResult of sim's configured run and baseline as
+// lvpd serves it and lvpsim prints it: NewSMTRunResult's payload,
+// echoing label as the predictor, with the spec's storage budget when
+// the engine reports none.
+func NewSimResult(sim spec.Sim, label string, run, base expt.SMTResult, comp *core.Composite) RunResult {
+	res := NewSMTRunResult(run, base, sim.ContextStreams(), comp)
+	res.Predictor = label
+	if res.StorageKB == 0 {
+		res.StorageKB = spec.StorageKB(sim.Predictor)
+	}
+	return res
+}
+
 // CompositeFromEngine unwraps the composite behind an engine, when
-// there is one (for the per-component breakdown).
+// there is one (for the per-component breakdown). Only lvpbench calls
+// it: expt.Context.Simulate returns the composite to every other
+// caller.
 func CompositeFromEngine(eng cpu.Engine) *core.Composite {
 	if ce, ok := eng.(*cpu.CompositeEngine); ok {
 		return ce.C

@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/expt"
 	"repro/internal/obs"
@@ -1050,24 +1051,11 @@ func (s *Server) runJob(j *job) {
 	j.traceID = span.TraceID
 	j.mu.Unlock()
 
-	sctx := s.simCtx(j.sim.Workload.Insts, j.sim.Run.Seed)
-	var res RunResult
-	var err error
-	if j.sim.Machine.NumContexts() > 1 {
-		res, err = s.simulateSMT(ctx, j, sctx)
-	} else {
-		res, err = s.simulate(ctx, j, sctx)
-	}
+	res, err := s.simulate(ctx, j, s.simCtx(j.sim.Workload.Insts, j.sim.Run.Seed))
 	state, msg, persist := StateFailed, "", true
 	var result *RunResult
 	switch {
 	case err == nil:
-		// The run's config label tracks the engine ("base" for the none
-		// family); the response should echo the requested predictor.
-		res.Predictor = j.label
-		if res.StorageKB == 0 {
-			res.StorageKB = spec.StorageKB(j.sim.Predictor)
-		}
 		if secs := time.Since(start).Seconds(); secs > 0 {
 			res.SimMIPS = float64(res.SimInstructions) / 1e6 / secs
 		}
@@ -1089,89 +1077,42 @@ func (s *Server) runJob(j *job) {
 	}
 }
 
-// simulate runs a single-context job's baseline and configured run. An
-// aborted phase returns its context's error.
+// simulate runs a job's baseline (memoized per mix × machine in the
+// shared context) and its configured run, publishing live progress
+// into the job's slots: the machine-wide aggregate in j.prog and, on a
+// multi-context machine, each context's own in j.progRows. An aborted
+// phase returns its context's error.
 func (s *Server) simulate(ctx context.Context, j *job, sctx *expt.Context) (RunResult, error) {
-	w, _ := trace.ByName(j.sim.Workload.Name) // validated at submit
-
-	baseCached := sctx.HasBaselineMachine(w.Name, j.sim.Machine)
-	j.startPhase("baseline")
-	bctx, bspan := s.tracer.StartSpan(ctx, "baseline",
-		otrace.String("cached", strconv.FormatBool(baseCached)))
-	base := sctx.BaselineMachineProgressCtx(bctx, w, j.sim.Machine, &j.prog, s.cfg.ProgressInterval)
-	bspan.Finish()
-	if base.Aborted {
-		return RunResult{}, ctx.Err()
-	}
-	var simInsts uint64
-	if !baseCached {
-		simInsts += s.countSimInsts(j, base.Instructions)
-	}
-
-	var res RunResult
-	if j.sim.Predictor.Family == spec.FamilyNone {
-		res = NewRunResult(base, base, nil)
-	} else {
-		eng, err := spec.NewEngine(j.sim.Predictor, j.sim.Workload.Insts, sctx.EngineSeed(w))
-		if err != nil {
-			return RunResult{}, err // unreachable: the spec was validated at submit
-		}
-		j.startPhase("run")
-		rctx, rspan := s.tracer.StartSpan(ctx, "run")
-		run := sctx.RunEngineCfgProgressCtx(rctx, w, j.label, eng, j.sim.Machine.Config(), &j.prog, s.cfg.ProgressInterval)
-		rspan.Finish()
-		simInsts += s.countSimInsts(j, run.Instructions)
-		if run.Aborted {
-			return RunResult{}, ctx.Err()
-		}
-		res = NewRunResult(run, base, CompositeFromEngine(eng))
-	}
-	res.SimInstructions = simInsts
-	return res, nil
-}
-
-// simulateSMT is simulate for a multi-context job: SMT baseline
-// (deduplicated per mix × machine) and configured SMT run. The job's
-// per-context progress rows receive each context's live snapshot
-// alongside the machine-wide aggregate in j.prog.
-func (s *Server) simulateSMT(ctx context.Context, j *job, sctx *expt.Context) (RunResult, error) {
-	rows := make([]*cpu.Progress, len(j.progRows))
+	pr := expt.Progress{All: &j.prog, Every: s.cfg.ProgressInterval}
 	for i := range j.progRows {
-		rows[i] = &j.progRows[i]
+		pr.Rows = append(pr.Rows, &j.progRows[i])
 	}
 
-	baseCached := sctx.HasSMTBaseline(j.sim)
 	j.startPhase("baseline")
-	bctx, bspan := s.tracer.StartSpan(ctx, "baseline",
-		otrace.String("cached", strconv.FormatBool(baseCached)))
-	base := sctx.SMTBaselineProgressCtx(bctx, j.sim, &j.prog, rows, s.cfg.ProgressInterval)
+	bctx, bspan := s.tracer.StartSpan(ctx, "baseline")
+	base, memoized := sctx.Baseline(bctx, j.sim, pr)
+	bspan.SetAttr("cached", strconv.FormatBool(memoized))
 	bspan.Finish()
 	if base.Aborted() {
 		return RunResult{}, ctx.Err()
 	}
 	var simInsts uint64
-	if !baseCached {
+	if !memoized {
 		simInsts += s.countSimInsts(j, base.Merged.Instructions)
 	}
 
-	var res RunResult
-	if j.sim.Predictor.Family == spec.FamilyNone {
-		res = NewSMTRunResult(base, base, j.sim.ContextStreams(), nil)
-	} else {
-		eng, err := spec.NewEngine(j.sim.Predictor, j.sim.Workload.Insts, sctx.EngineSeedLabel(j.sim.WorkloadLabel()))
-		if err != nil {
-			return RunResult{}, err // unreachable: the spec was validated at submit
-		}
+	run, comp := base, (*core.Composite)(nil)
+	if j.sim.Predictor.Family != spec.FamilyNone {
 		j.startPhase("run")
 		rctx, rspan := s.tracer.StartSpan(ctx, "run")
-		run := sctx.RunSMTProgressCtx(rctx, j.sim, j.label, eng, &j.prog, rows, s.cfg.ProgressInterval)
+		run, comp = sctx.Simulate(rctx, j.sim, pr)
 		rspan.Finish()
 		simInsts += s.countSimInsts(j, run.Merged.Instructions)
 		if run.Aborted() {
 			return RunResult{}, ctx.Err()
 		}
-		res = NewSMTRunResult(run, base, j.sim.ContextStreams(), CompositeFromEngine(eng))
 	}
+	res := NewSimResult(j.sim, j.label, run, base, comp)
 	res.SimInstructions = simInsts
 	return res, nil
 }

@@ -147,6 +147,44 @@ func TestJobLifecycle(t *testing.T) {
 	}
 }
 
+// TestBaselineMemoSpansAndCounts pins what lvpbench reads off a job:
+// its "baseline" span says whether the baseline was memoized when the
+// job asked for it, and sim_instructions and
+// lvpd_sim_instructions_total count a baseline only when it was not.
+// The second job shares the first one's workload and machine, so its
+// baseline comes from the memo.
+func TestBaselineMemoSpansAndCounts(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	for i, tc := range []struct {
+		predictor string
+		cached    string
+		simInsts  uint64
+	}{
+		{"composite", "false", 40_000},
+		{"lvp", "true", 20_000},
+	} {
+		_, st := submit(t, ts, JobRequest{Workload: "gcc2k", Predictor: tc.predictor, Insts: 20_000})
+		final := waitState(t, ts, st.ID, 30*time.Second, StateDone)
+		if got := final.Result.SimInstructions; got != tc.simInsts {
+			t.Errorf("job %d: SimInstructions = %d, want %d", i, got, tc.simInsts)
+		}
+		var cached []string
+		for _, sp := range s.tracer.TraceSpans(final.TraceID) {
+			for _, a := range sp.Attrs {
+				if sp.Name == "baseline" && a.Key == "cached" {
+					cached = append(cached, a.Value)
+				}
+			}
+		}
+		if len(cached) != 1 || cached[0] != tc.cached {
+			t.Errorf("job %d: baseline span cached = %v, want [%s]", i, cached, tc.cached)
+		}
+	}
+	if !strings.Contains(metricsText(t, ts), "lvpd_sim_instructions_total 60000") {
+		t.Error("/metrics missing lvpd_sim_instructions_total 60000")
+	}
+}
+
 func TestRepeatRequestServedFromCache(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2})
 	req := JobRequest{Workload: "mcf", Predictor: "lvp", Entries: 512, Insts: 20_000}

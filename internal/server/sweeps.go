@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 
@@ -111,12 +112,36 @@ func (r SweepRequest) Expand(d spec.Defaults, max int) ([]Point, error) {
 	return points, nil
 }
 
+// size returns how many points the axes expand to, and false when that
+// number does not fit in an int.
+func (a SweepAxes) size() (int, bool) {
+	n := 1
+	for _, l := range []int{len(a.Workloads), len(a.Predictors), len(a.EntriesPer), len(a.AMs),
+		len(a.BudgetsKB), len(a.Seeds), len(a.Machines), len(a.Contexts)} {
+		if l == 0 {
+			continue
+		}
+		if n > math.MaxInt/l {
+			return 0, false
+		}
+		n *= l
+	}
+	return n, true
+}
+
 // expand returns the cartesian expansion of the template across the
-// axes as un-normalized specs.
+// axes as un-normalized specs. It refuses a sweep over max points
+// before building any of them.
 func (r SweepRequest) expand(max int) ([]sweepPoint, error) {
 	base, err := r.Template.rawSpec()
 	if err != nil {
 		return nil, fmt.Errorf("template: %w", err)
+	}
+	switch n, ok := r.Axes.size(); {
+	case !ok:
+		return nil, fmt.Errorf("sweep expands to more than %d jobs, max %d", math.MaxInt, max)
+	case n > max:
+		return nil, fmt.Errorf("sweep expands to %d jobs, max %d", n, max)
 	}
 	points := []sweepPoint{{sim: base}}
 	mul := func(n int, apply func(p *sweepPoint, i int)) {
@@ -159,9 +184,6 @@ func (r SweepRequest) expand(max int) ([]sweepPoint, error) {
 	mul(len(r.Axes.Contexts), func(p *sweepPoint, i int) {
 		p.sim.Machine.Contexts = r.Axes.Contexts[i]
 	})
-	if len(points) > max {
-		return nil, fmt.Errorf("sweep expands to %d jobs, max %d", len(points), max)
-	}
 	return points, nil
 }
 

@@ -76,7 +76,7 @@ func WriteArtifact(w io.Writer, name string, insts uint64, gen Generator) (uint6
 	if _, err := zw.Write(hdr); err != nil {
 		return 0, err
 	}
-	n, err := WriteTrace(zw, gen)
+	n, err := writeTrace(zw, gen)
 	if err != nil {
 		return 0, err
 	}
@@ -100,7 +100,7 @@ func ReadArtifact(r io.Reader) (name string, insts uint64, rep *Replay, err erro
 	if name, insts, err = readArtifactHeader(br); err != nil {
 		return "", 0, nil, err
 	}
-	tr, err := NewTraceReader(br)
+	tr, err := newTraceReader(br)
 	if err != nil {
 		return "", 0, nil, err
 	}

@@ -179,7 +179,7 @@ func TestExternalStreamResolution(t *testing.T) {
 
 // TestTraceFileV2RoundTrip covers the explicit pre-image header: a
 // recording whose memory image already holds written words must survive
-// WriteTrace/NewTraceReader with the image intact.
+// writeTrace/newTraceReader with the image intact.
 func TestTraceFileV2RoundTrip(t *testing.T) {
 	img := mem.NewBacking(99)
 	img.Write(0x8000, 8, 0xDEADBEEFCAFEF00D)
@@ -192,7 +192,7 @@ func TestTraceFileV2RoundTrip(t *testing.T) {
 	rep := NewReplay(insts, img)
 
 	var buf bytes.Buffer
-	n, err := WriteTrace(&buf, rep.Cursor())
+	n, err := writeTrace(&buf, rep.Cursor())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestTraceFileV2RoundTrip(t *testing.T) {
 		t.Fatalf("pre-image recording wrote version %d, want %d", v, traceVersionImage)
 	}
 
-	rd, err := NewTraceReader(bytes.NewReader(buf.Bytes()))
+	rd, err := newTraceReader(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestTraceFileV2RoundTrip(t *testing.T) {
 	// producing version 1 — byte-identical artifacts across releases.
 	w, _ := ByName("gcc2k")
 	var sbuf bytes.Buffer
-	if _, err := WriteTrace(&sbuf, w.Build(500)); err != nil {
+	if _, err := writeTrace(&sbuf, w.Build(500)); err != nil {
 		t.Fatal(err)
 	}
 	if v := sbuf.Bytes()[4]; v != traceVersion {

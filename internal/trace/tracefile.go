@@ -10,9 +10,10 @@ import (
 	"repro/internal/mem"
 )
 
-// This file implements a compact binary trace format so instruction
-// streams can be recorded once and replayed many times (or exchanged
-// with other tools). The format is versioned and self-describing:
+// This file implements LVPT, the compact binary trace format inside an
+// LVPA artifact (artifact.go), so an uploaded stream can be recorded
+// once and replayed many times. The format is versioned and
+// self-describing:
 //
 //	header:  magic "LVPT" | u16 version | u64 seed | u64 count
 //	records: one per instruction, varint-packed fields gated by a
@@ -61,7 +62,7 @@ const (
 	fFlags
 )
 
-// WriteTrace records every instruction from gen to w. It returns the
+// writeTrace records every instruction from gen to w. It returns the
 // number of instructions written. The recorded header carries the
 // generator's memory fill seed (gen.Mem().Seed()) so replay can
 // reconstruct load values for never-written locations.
@@ -72,7 +73,7 @@ const (
 // fill seed can describe written words). Generators starting from an
 // empty footprint, which is every live synthetic generator, produce
 // version 1, byte-identical to before version 2 existed.
-func WriteTrace(w io.Writer, gen Generator) (uint64, error) {
+func writeTrace(w io.Writer, gen Generator) (uint64, error) {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(traceMagic); err != nil {
 		return 0, err
@@ -220,19 +221,19 @@ func writeRecord(bw *bufio.Writer, writeU func(uint64) error, in *Inst) error {
 	return nil
 }
 
-// TraceReader replays a recorded trace as a Generator.
-type TraceReader struct {
+// traceReader replays a recorded trace as a Generator.
+type traceReader struct {
 	br     *bufio.Reader
 	memory *mem.Backing
 	err    error
 	done   bool
 }
 
-// NewTraceReader parses the header and returns a Generator over the
+// newTraceReader parses the header and returns a Generator over the
 // recorded stream. The returned reader's Mem starts as the recorded
 // initial image (fill seed only); stores replay through it as the
 // stream is consumed, exactly as live generators behave.
-func NewTraceReader(r io.Reader) (*TraceReader, error) {
+func newTraceReader(r io.Reader) (*traceReader, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(traceMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
@@ -278,18 +279,18 @@ func NewTraceReader(r io.Reader) (*TraceReader, error) {
 			}
 		}
 	}
-	return &TraceReader{br: br, memory: memory}, nil
+	return &traceReader{br: br, memory: memory}, nil
 }
 
 // Mem implements Generator.
-func (t *TraceReader) Mem() *mem.Backing { return t.memory }
+func (t *traceReader) Mem() *mem.Backing { return t.memory }
 
 // Err returns the first decode error encountered, if any (Next returns
 // false both at end-of-trace and on error).
-func (t *TraceReader) Err() error { return t.err }
+func (t *traceReader) Err() error { return t.err }
 
 // Next implements Generator.
-func (t *TraceReader) Next(in *Inst) bool {
+func (t *traceReader) Next(in *Inst) bool {
 	if t.done || t.err != nil {
 		return false
 	}
@@ -378,7 +379,7 @@ func (t *TraceReader) Next(in *Inst) bool {
 	return true
 }
 
-func (t *TraceReader) fail(err error) {
+func (t *traceReader) fail(err error) {
 	if errors.Is(err, io.EOF) {
 		err = io.ErrUnexpectedEOF
 	}

@@ -9,7 +9,7 @@ import (
 func TestTraceRoundTrip(t *testing.T) {
 	w, _ := ByName("gcc2k")
 	var buf bytes.Buffer
-	n, err := WriteTrace(&buf, w.Build(20_000))
+	n, err := writeTrace(&buf, w.Build(20_000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -17,7 +17,7 @@ func TestTraceRoundTrip(t *testing.T) {
 		t.Fatalf("wrote %d instructions", n)
 	}
 
-	rd, err := NewTraceReader(&buf)
+	rd, err := newTraceReader(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,10 +47,10 @@ func TestTraceReplayMemoryImage(t *testing.T) {
 	// generators provide).
 	w, _ := ByName("v8")
 	var buf bytes.Buffer
-	if _, err := WriteTrace(&buf, w.Build(20_000)); err != nil {
+	if _, err := writeTrace(&buf, w.Build(20_000)); err != nil {
 		t.Fatal(err)
 	}
-	rd, err := NewTraceReader(&buf)
+	rd, err := newTraceReader(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestTraceReplayMemoryImage(t *testing.T) {
 func TestTraceCompactness(t *testing.T) {
 	w, _ := ByName("linpack")
 	var buf bytes.Buffer
-	n, _ := WriteTrace(&buf, w.Build(20_000))
+	n, _ := writeTrace(&buf, w.Build(20_000))
 	perInst := float64(buf.Len()) / float64(n)
 	if perInst > 16 {
 		t.Errorf("trace uses %.1f bytes/instruction, want <= 16", perInst)
@@ -75,21 +75,21 @@ func TestTraceCompactness(t *testing.T) {
 }
 
 func TestTraceBadInput(t *testing.T) {
-	if _, err := NewTraceReader(strings.NewReader("NOPE")); err == nil {
+	if _, err := newTraceReader(strings.NewReader("NOPE")); err == nil {
 		t.Error("accepted bad magic")
 	}
-	if _, err := NewTraceReader(strings.NewReader("LV")); err == nil {
+	if _, err := newTraceReader(strings.NewReader("LV")); err == nil {
 		t.Error("accepted truncated magic")
 	}
 	// Truncated mid-stream: Next must stop with an error, not hang or
 	// panic.
 	w, _ := ByName("gzip")
 	var buf bytes.Buffer
-	if _, err := WriteTrace(&buf, w.Build(1000)); err != nil {
+	if _, err := writeTrace(&buf, w.Build(1000)); err != nil {
 		t.Fatal(err)
 	}
 	cut := buf.Bytes()[:buf.Len()/2]
-	rd, err := NewTraceReader(bytes.NewReader(cut))
+	rd, err := newTraceReader(bytes.NewReader(cut))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,10 +104,10 @@ func TestTraceBadInput(t *testing.T) {
 func TestTraceFlaggedInstructionsSurvive(t *testing.T) {
 	w, _ := ByName("perlbench")
 	var buf bytes.Buffer
-	if _, err := WriteTrace(&buf, w.Build(60_000)); err != nil {
+	if _, err := writeTrace(&buf, w.Build(60_000)); err != nil {
 		t.Fatal(err)
 	}
-	rd, _ := NewTraceReader(&buf)
+	rd, _ := newTraceReader(&buf)
 	var in Inst
 	flagged := 0
 	for rd.Next(&in) {
