@@ -34,6 +34,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -168,49 +169,48 @@ func simulate(sim spec.Sim, label string, phaseSpan func(string) func()) outcome
 	return o
 }
 
-// printText prints o as text: the baseline, then the configured run
-// with its flushes, with one line per context on a multi-context
-// machine. details adds a single-context composite's per-component
-// statistics.
-func printText(o outcome, sim spec.Sim, label string, details bool) {
+// printText prints o to w as text: the baseline, then the configured
+// run with its flushes, with one line per context on a multi-context
+// machine. details adds the composite's per-component statistics.
+func printText(w io.Writer, o outcome, sim spec.Sim, label string, details bool) {
 	base, run := o.base.Merged, o.run.Merged
 	if len(o.base.Per) == 0 {
-		fmt.Printf("baseline:  IPC=%.3f (%d instructions, %d cycles, %d loads)\n",
+		fmt.Fprintf(w, "baseline:  IPC=%.3f (%d instructions, %d cycles, %d loads)\n",
 			base.IPC(), base.Instructions, base.Cycles, base.Loads)
 	} else {
-		fmt.Printf("baseline:  IPC=%.3f (%d contexts, %d instructions, %d cycles)\n",
+		fmt.Fprintf(w, "baseline:  IPC=%.3f (%d contexts, %d instructions, %d cycles)\n",
 			base.IPC(), len(o.base.Per), base.Instructions, base.Cycles)
 		for i, r := range o.base.Per {
-			fmt.Printf("   ctx%d %-12s IPC=%.3f\n", i, r.Workload+":", r.IPC())
+			fmt.Fprintf(w, "   ctx%d %-12s IPC=%.3f\n", i, r.Workload+":", r.IPC())
 		}
 	}
 	if sim.Predictor.Family == spec.FamilyNone {
 		return
 	}
-	fmt.Printf("%-9s  IPC=%.3f  speedup=%+.2f%%  coverage=%.1f%%  accuracy=%.4f\n",
+	fmt.Fprintf(w, "%-9s  IPC=%.3f  speedup=%+.2f%%  coverage=%.1f%%  accuracy=%.4f\n",
 		label+":", run.IPC(), stats.Speedup(run, base), run.Coverage(), run.Accuracy())
 	for i, r := range o.run.Per {
-		fmt.Printf("   ctx%d %-12s IPC=%.3f  speedup=%+.2f%%  coverage=%.1f%%  accuracy=%.4f\n",
+		fmt.Fprintf(w, "   ctx%d %-12s IPC=%.3f  speedup=%+.2f%%  coverage=%.1f%%  accuracy=%.4f\n",
 			i, r.Workload+":", r.IPC(), stats.Speedup(r, o.base.Per[i]), r.Coverage(), r.Accuracy())
 	}
-	fmt.Printf("           flushes: value=%d branch=%d memorder=%d\n",
+	fmt.Fprintf(w, "           flushes: value=%d branch=%d memorder=%d\n",
 		run.VPFlushes, run.BranchFlushes, run.MemOrderFlushes)
 
-	if !details || o.comp == nil || len(o.run.Per) > 0 {
+	if !details || o.comp == nil {
 		return
 	}
 	st := o.comp.Stats()
-	fmt.Printf("           predicted loads: %d of %d probes; multi-confident: %d\n",
+	fmt.Fprintf(w, "           predicted loads: %d of %d probes; multi-confident: %d\n",
 		st.PredictedLoads, st.Probes,
 		st.ConfidentHistogram[2]+st.ConfidentHistogram[3]+st.ConfidentHistogram[4])
 	for c := core.Component(0); c < core.NumComponents; c++ {
 		if o.comp.Component(c) == nil {
 			continue
 		}
-		fmt.Printf("           %v: used=%d correct=%d incorrect=%d\n",
+		fmt.Fprintf(w, "           %v: used=%d correct=%d incorrect=%d\n",
 			c, st.UsedBy[c], st.CorrectBy[c], st.IncorrectBy[c])
 	}
-	fmt.Printf("           storage: %.2fKB\n", o.comp.StorageKB())
+	fmt.Fprintf(w, "           storage: %.2fKB\n", o.comp.StorageKB())
 }
 
 func main() {
@@ -364,7 +364,7 @@ func main() {
 
 	o := simulate(sim, label, phaseSpan)
 	if !*jsonOut {
-		printText(o, sim, label, *details)
+		printText(os.Stdout, o, sim, label, *details)
 		return
 	}
 	enc := json.NewEncoder(os.Stdout)

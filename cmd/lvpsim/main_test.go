@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -83,6 +84,35 @@ func TestResultsMatchLvpd(t *testing.T) {
 		r := cpu.New(sim.Machine.Config(), raw).RunSMT(gens, sim.ContextWorkloads(), sim.WorkloadLabel(), o.run.Merged.Config)
 		if r == o.run.Merged {
 			t.Errorf("%s: an engine on the raw seed runs the same, so the comparison shows nothing", tc.name)
+		}
+	}
+}
+
+// TestDetailsOnEveryMachine requires -details to print the composite's
+// statistics after the plain text, one predicted-loads line, one line
+// per component and the storage line, on a multi-context run as on a
+// single-context one.
+func TestDetailsOnEveryMachine(t *testing.T) {
+	for _, contexts := range []int{0, 2} {
+		sim := spec.Sim{
+			Workload:  spec.WorkloadSpec{Name: "gcc2k", Insts: 5000},
+			Machine:   spec.MachineSpec{Contexts: contexts},
+			Predictor: spec.PredictorSpec{Family: spec.FamilyComposite},
+			Run:       spec.RunSpec{Seed: server.DefaultSeed},
+		}
+		sim.Normalize(spec.Defaults{})
+		if err := sim.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		o := simulate(sim, "composite", func(string) func() { return func() {} })
+		var plain, details strings.Builder
+		printText(&plain, o, sim, "composite", false)
+		printText(&details, o, sim, "composite", true)
+		extra, ok := strings.CutPrefix(details.String(), plain.String())
+		lines := strings.Split(strings.TrimSuffix(extra, "\n"), "\n")
+		if !ok || len(lines) != 2+len(o.res.Components) ||
+			!strings.Contains(lines[0], "predicted loads:") || !strings.Contains(lines[len(lines)-1], "storage:") {
+			t.Errorf("contexts %d: -details printed\n%s\nafter\n%s", contexts, extra, plain.String())
 		}
 	}
 }

@@ -72,10 +72,6 @@ type Config struct {
 	// are answered without dispatching.
 	CacheSize int
 
-	// RetainedSweeps bounds how many finished sweeps stay queryable
-	// (default 64).
-	RetainedSweeps int
-
 	// WorkerSlots is the maximum concurrent dispatches per worker
 	// (default 4). Keep it at or below a worker's queue depth so
 	// dispatches do not bounce off worker backpressure.
@@ -186,9 +182,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.CacheSize <= 0 {
 		c.CacheSize = 4096
-	}
-	if c.RetainedSweeps <= 0 {
-		c.RetainedSweeps = 64
 	}
 	if c.WorkerSlots <= 0 {
 		c.WorkerSlots = 4

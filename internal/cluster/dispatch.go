@@ -291,11 +291,8 @@ func (c *Coordinator) notePointRunning(sw *sweep, pt *point, w *worker) {
 // every done point's row.
 func (c *Coordinator) settlePoint(sw *sweep, pt *point, res *server.RunResult, errMsg string) {
 	if res != nil {
-		c.Cache().Put(pt.hash, *res)
-		if c.Store() != nil {
-			if err := c.warehousePut(sw, pt, res); err != nil {
-				c.log.Error("warehouse put failed", "sweep", sw.id, "spec", pt.hash, "err", err)
-			}
+		if err := c.StoreResult(pt.hash, pt.sim, pt.label, sw.tenant, sw.span.TraceID, res); err != nil {
+			c.log.Error("warehouse put failed", "sweep", sw.id, "spec", pt.hash, "err", err)
 		}
 		if ctr := c.mTenantPoints[sw.tenant]; ctr != nil {
 			ctr.Inc()

@@ -84,29 +84,6 @@ func (c *Coordinator) persistSweepDone(sw *sweep) {
 	}
 }
 
-// warehousePut retains a point's result beyond the LRU cache,
-// attributed to the sweep's tenant and linked to its trace.
-func (c *Coordinator) warehousePut(sw *sweep, pt *point, res *server.RunResult) error {
-	raw, err := json.Marshal(res)
-	if err != nil {
-		return err
-	}
-	workload := res.Workload // the mix label ("a+b") for SMT points
-	if workload == "" {
-		workload = pt.sim.Workload.Name
-	}
-	return c.Store().Warehouse().Put(store.RunRecord{
-		SpecHash:  pt.hash,
-		Tenant:    sw.tenant,
-		Workload:  workload,
-		Predictor: pt.label,
-		TraceID:   sw.span.TraceID,
-		Time:      time.Now().UTC(),
-		Result:    raw,
-		Contexts:  res.Contexts,
-	})
-}
-
 // replaySweeps folds the WAL's pending sweeps back into live state at
 // Open. Points the log already settled keep their outcome (done points
 // recover their result from the warehouse); points it still owes are

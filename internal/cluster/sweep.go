@@ -279,10 +279,13 @@ func (c *Coordinator) StartSweep(ctx context.Context, req server.SweepRequest) (
 	return status, nil
 }
 
+// retainedSweeps bounds how many finished sweeps stay queryable.
+const retainedSweeps = 64
+
 // pruneSweepsLocked forgets the oldest finished sweeps beyond the
 // retention cap. Caller holds c.mu.
 func (c *Coordinator) pruneSweepsLocked() {
-	for len(c.order) > c.cfg.RetainedSweeps {
+	for len(c.order) > retainedSweeps {
 		old := c.sweeps[c.order[0]]
 		if old != nil && !old.terminalLocked() {
 			break

@@ -1,14 +1,11 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
-	"time"
 
-	"repro/internal/cpu"
+	otrace "repro/internal/obs/trace"
 	"repro/internal/spec"
-	"repro/internal/store"
 )
 
 // persistAccepted records an admitted job in the WAL. The append is
@@ -23,31 +20,6 @@ func (s *Server) persistAccepted(j *job) error {
 		return fmt.Errorf("server: encoding spec for WAL: %w", err)
 	}
 	return s.st.AppendJobAccepted(j.id, j.tenant, j.key, raw, j.label, j.timeoutMS)
-}
-
-// warehousePut retains a finished result beyond the LRU cache.
-func (s *Server) warehousePut(j *job, res *RunResult) error {
-	raw, err := json.Marshal(res)
-	if err != nil {
-		return err
-	}
-	j.mu.Lock()
-	traceID := j.traceID
-	j.mu.Unlock()
-	workload := res.Workload // the mix label ("a+b") for SMT runs
-	if workload == "" {
-		workload = j.sim.Workload.Name
-	}
-	return s.st.Warehouse().Put(store.RunRecord{
-		SpecHash:  j.key,
-		Tenant:    j.tenant,
-		Workload:  workload,
-		Predictor: j.label,
-		TraceID:   traceID,
-		Time:      time.Now().UTC(),
-		Result:    raw,
-		Contexts:  res.Contexts,
-	})
 }
 
 // replay folds the WAL into owed work: every job accepted but not
@@ -81,7 +53,7 @@ func (s *Server) replay() error {
 		if !ok {
 			tn = s.tenants.Default()
 		}
-		j := s.restoreJob(pj.ID, tn.Name, sim, pj.Label, pj.TimeoutMS)
+		j := s.newJob(pj.ID, tn.Name, sim, pj.Label, pj.TimeoutMS, otrace.SpanContext{})
 
 		// An equivalent spec may have finished before the crash (or in
 		// another deployment sharing the warehouse): settle without
@@ -104,31 +76,4 @@ func (s *Server) replay() error {
 		s.log.Info("replay: re-enqueued job", "id", j.id, "spec", j.key, "tenant", j.tenant)
 	}
 	return nil
-}
-
-// restoreJob registers a replayed job under its WAL-recorded ID.
-func (s *Server) restoreJob(id, tenantName string, sim spec.Sim, label string, timeoutMS int64) *job {
-	ctx, cancel := context.WithCancel(s.lifeCtx)
-	s.mu.Lock()
-	j := &job{
-		id:        id,
-		sim:       sim,
-		label:     label,
-		timeoutMS: timeoutMS,
-		tenant:    tenantName,
-		key:       sim.CanonicalHash(),
-		ctx:       ctx,
-		cancel:    cancel,
-		state:     StateQueued,
-		created:   time.Now(),
-		done:      make(chan struct{}),
-	}
-	if n := sim.Machine.NumContexts(); n > 1 {
-		j.progRows = make([]cpu.Progress, n)
-	}
-	j.flight.note("replayed from WAL")
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	s.mu.Unlock()
-	return j
 }

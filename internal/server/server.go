@@ -35,6 +35,10 @@ const DefaultSeed = 0xC0FFEE
 // defaultMaxSweepPoints is the default cap on one sweep's expansion.
 const defaultMaxSweepPoints = 256
 
+// retainedJobs bounds how many finished jobs stay queryable; older
+// finished jobs are forgotten FIFO.
+const retainedJobs = 4096
+
 // maxSweepPointsCeiling rejects absurd MaxSweepPoints configurations:
 // beyond a million points per sweep the expansion itself (validation,
 // response payload) is the problem, not the cap.
@@ -64,10 +68,6 @@ type Config struct {
 	// JobTimeout is the per-job simulation deadline applied when a
 	// request has no timeout_ms (default 2 minutes).
 	JobTimeout time.Duration
-
-	// RetainedJobs bounds how many finished jobs stay queryable
-	// (default 4096); older finished jobs are forgotten FIFO.
-	RetainedJobs int
 
 	// MaxSweepPoints caps how many jobs one POST /v1/sweeps may expand
 	// to (default 256). Cluster coordinators raise it: their sweeps fan
@@ -130,10 +130,6 @@ type Config struct {
 	// GET /v1/jobs/{id}/events streams, keeping idle proxies from
 	// reaping slow jobs' streams (default 15s).
 	SSEKeepalive time.Duration
-
-	// FlightCap bounds retained job flight records in the durable
-	// store (default 1024). Only meaningful with DataDir set.
-	FlightCap int
 }
 
 // Validate rejects configurations the server cannot honor. New calls
@@ -169,9 +165,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.JobTimeout <= 0 {
 		c.JobTimeout = 2 * time.Minute
-	}
-	if c.RetainedJobs <= 0 {
-		c.RetainedJobs = 4096
 	}
 	if c.MaxSweepPoints == 0 {
 		c.MaxSweepPoints = defaultMaxSweepPoints
@@ -455,7 +448,6 @@ func New(cfg Config) (*Server, error) {
 		CacheSize:         cfg.CacheSize,
 		TraceCacheDir:     cfg.TraceCacheDir,
 		DataDir:           cfg.DataDir,
-		FlightCap:         cfg.FlightCap,
 		ObsScrapeInterval: cfg.ObsScrapeInterval,
 		ObsRetention:      cfg.ObsRetention,
 		Alerts:            cfg.Alerts,
@@ -756,7 +748,7 @@ func retryAfterEstimate(depth, workers int, ewmaSecs float64) int {
 // /v1/sweeps. parent is the submitter's span context (zero when the
 // request carried no traceparent); the job's spans join its trace.
 func (s *Server) admit(tn *tenant.Tenant, sim spec.Sim, label string, timeoutMS int64, parent otrace.SpanContext) (*job, int, int) {
-	j := s.newJob(tn, sim, label, timeoutMS, parent)
+	j := s.newJob("", tn.Name, sim, label, timeoutMS, parent)
 
 	// Cache: equivalent requests are answered without re-simulating.
 	// The job never enters the WAL, so nothing settles there.
@@ -818,17 +810,22 @@ func (s *Server) admit(tn *tenant.Tenant, sim spec.Sim, label string, timeoutMS 
 	return j, http.StatusAccepted, 0
 }
 
-// newJob registers a fresh queued job.
-func (s *Server) newJob(tn *tenant.Tenant, sim spec.Sim, label string, timeoutMS int64, parent otrace.SpanContext) *job {
+// newJob registers a queued job: a fresh one under the next ID when id
+// is empty, or a replayed one under its WAL-recorded id.
+func (s *Server) newJob(id, tenantName string, sim spec.Sim, label string, timeoutMS int64, parent otrace.SpanContext) *job {
 	ctx, cancel := context.WithCancel(s.lifeCtx)
 	s.mu.Lock()
-	s.nextID++
+	note := "replayed from WAL"
+	if id == "" {
+		s.nextID++
+		id, note = fmt.Sprintf("j-%06d", s.nextID), "accepted"
+	}
 	j := &job{
-		id:        fmt.Sprintf("j-%06d", s.nextID),
+		id:        id,
 		sim:       sim,
 		label:     label,
 		timeoutMS: timeoutMS,
-		tenant:    tn.Name,
+		tenant:    tenantName,
 		parent:    parent,
 		key:       sim.CanonicalHash(),
 		ctx:       ctx,
@@ -840,12 +837,12 @@ func (s *Server) newJob(tn *tenant.Tenant, sim spec.Sim, label string, timeoutMS
 	if n := sim.Machine.NumContexts(); n > 1 {
 		j.progRows = make([]cpu.Progress, n)
 	}
-	j.flight.note("accepted")
+	j.flight.note(note)
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
 	// Forget the oldest retained jobs beyond the cap; skip any still
 	// queued or running (they are bounded by QueueDepth + Workers).
-	for len(s.order) > s.cfg.RetainedJobs {
+	for len(s.order) > retainedJobs {
 		old := s.jobs[s.order[0]]
 		if old != nil {
 			old.mu.Lock()
@@ -1150,11 +1147,11 @@ func (s *Server) settle(j *job, state, errMsg string, res *RunResult, persist bo
 	// replayed warehouse hit) already has its row.
 	switch {
 	case state == StateDone && ran:
-		s.cache.Put(j.key, *res)
-		if persist {
-			if err := s.warehousePut(j, res); err != nil {
-				s.log.Error("warehouse put failed", "id", j.id, "err", err)
-			}
+		j.mu.Lock()
+		traceID := j.traceID
+		j.mu.Unlock()
+		if err := s.StoreResult(j.key, j.sim, j.label, j.tenant, traceID, res); err != nil {
+			s.log.Error("warehouse put failed", "id", j.id, "err", err)
 		}
 	case state != StateDone && persist:
 		rec := j.flightRecord(state)

@@ -15,6 +15,7 @@ import (
 	"repro/internal/obs"
 	otrace "repro/internal/obs/trace"
 	"repro/internal/obs/tsdb"
+	"repro/internal/spec"
 	"repro/internal/store"
 	"repro/internal/tenant"
 	"repro/internal/trace"
@@ -49,7 +50,6 @@ type ShellConfig struct {
 	CacheSize     int
 	TraceCacheDir string
 	DataDir       string
-	FlightCap     int
 
 	ObsScrapeInterval time.Duration
 	ObsRetention      time.Duration
@@ -164,8 +164,7 @@ func NewShell(cfg ShellConfig) (*Shell, error) {
 
 	if cfg.DataDir != "" {
 		st, err := store.Open(cfg.DataDir, store.Options{
-			WAL:       store.WALOptions{FsyncObserver: walFsync.Observe},
-			FlightCap: cfg.FlightCap,
+			WAL: store.WALOptions{FsyncObserver: walFsync.Observe},
 		})
 		if err != nil {
 			return nil, err
@@ -430,6 +429,36 @@ func (sh *Shell) LookupResult(key string) (RunResult, bool) {
 	}
 	sh.cache.Put(key, res)
 	return res, true
+}
+
+// StoreResult is LookupResult's write side: it puts a finished run's
+// result in the LRU and, with a data directory, its warehouse row,
+// attributed to tenant, linked to traceID and labeled with the run's
+// predictor label. The row's workload is the result's (the mix label
+// "a+b" on a multi-context run), or sim's name when the result names
+// none.
+func (sh *Shell) StoreResult(key string, sim spec.Sim, label, tenant, traceID string, res *RunResult) error {
+	sh.cache.Put(key, *res)
+	if sh.st == nil || sh.crashed.Load() {
+		return nil
+	}
+	raw, err := json.Marshal(res)
+	if err != nil {
+		return err
+	}
+	workload := res.Workload
+	if workload == "" {
+		workload = sim.Workload.Name
+	}
+	return sh.st.Warehouse().Put(store.RunRecord{
+		SpecHash:  key,
+		Tenant:    tenant,
+		Workload:  workload,
+		Predictor: label,
+		TraceID:   traceID,
+		Result:    raw,
+		Contexts:  res.Contexts,
+	})
 }
 
 // handleMetricsQuery implements GET /v1/metrics/query over the

@@ -1,11 +1,7 @@
 package store
 
 import (
-	"bufio"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sync"
 	"time"
 )
 
@@ -60,20 +56,13 @@ type FlightRecord struct {
 	Snapshots []FlightSnapshot `json:"snapshots,omitempty"`
 }
 
-// FlightStore retains flight records keyed by job ID in a CRC-framed
-// append-only file (the warehouse's format), bounded to the most
-// recent maxLive records. Re-putting a job ID supersedes the earlier
-// record; opening truncates a torn tail and compacts when dead records
+// FlightStore retains flight records in a keyed file (flights.log,
+// the warehouse's format) keyed by job ID, bounded to the most recent
+// maxLive records. Re-putting a job ID supersedes the earlier record;
+// opening truncates a torn tail and compacts when dead records
 // dominate. Safe for concurrent use.
 type FlightStore struct {
-	mu      sync.Mutex
-	f       *os.File
-	bw      *bufio.Writer
-	path    string
-	index   map[string]FlightRecord
-	order   []string // insertion order of live job IDs, oldest first
-	dead    int
-	maxLive int
+	file *keyedFile[FlightRecord]
 }
 
 const (
@@ -88,90 +77,12 @@ func OpenFlightStore(dir string, maxLive int) (*FlightStore, error) {
 	if maxLive <= 0 {
 		maxLive = defaultMaxLive
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: creating flight dir: %w", err)
-	}
-	path := filepath.Join(dir, flightFile)
-	fs := &FlightStore{path: path, index: make(map[string]FlightRecord), maxLive: maxLive}
-	total, good, err := fs.load()
+	file, err := openKeyedFile(dir, flightFile,
+		func(rec FlightRecord) string { return rec.JobID }, maxLive)
 	if err != nil {
 		return nil, err
 	}
-	if _, statErr := os.Stat(path); statErr == nil {
-		if err := truncateTo(path, good); err != nil {
-			return nil, err
-		}
-	}
-	fs.evictLocked()
-	if fs.dead = total - len(fs.index); fs.dead > len(fs.index) {
-		if err := fs.compact(); err != nil {
-			return nil, err
-		}
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("store: opening flight store: %w", err)
-	}
-	fs.f = f
-	fs.bw = bufio.NewWriterSize(f, 64<<10)
-	return fs, nil
-}
-
-func (fs *FlightStore) load() (total int, good int64, err error) {
-	return readFrames(fs.path, func(rec FlightRecord) bool {
-		if rec.JobID == "" {
-			return false
-		}
-		fs.insert(rec)
-		return true
-	})
-}
-
-func (fs *FlightStore) insert(rec FlightRecord) {
-	if _, ok := fs.index[rec.JobID]; !ok {
-		fs.order = append(fs.order, rec.JobID)
-	}
-	fs.index[rec.JobID] = rec
-}
-
-// evictLocked drops the oldest live records past the cap.
-func (fs *FlightStore) evictLocked() {
-	for len(fs.order) > fs.maxLive {
-		delete(fs.index, fs.order[0])
-		fs.order = fs.order[1:]
-		fs.dead++
-	}
-}
-
-func (fs *FlightStore) compact() error {
-	tmp := fs.path + ".compact"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: creating flight compaction file: %w", err)
-	}
-	bw := bufio.NewWriterSize(f, 64<<10)
-	for _, id := range fs.order {
-		if _, err := writeFrame(bw, fs.index[id]); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return fmt.Errorf("store: flushing flight compaction: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("store: syncing flight compaction: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, fs.path); err != nil {
-		return fmt.Errorf("store: installing compacted flight store: %w", err)
-	}
-	fs.dead = 0
-	return nil
+	return &FlightStore{file: file}, nil
 }
 
 // Put stores rec as the live flight record for its job ID, durably
@@ -187,60 +98,14 @@ func (fs *FlightStore) Put(rec FlightRecord) error {
 	if len(rec.Snapshots) > maxFlightEvents {
 		rec.Snapshots = rec.Snapshots[len(rec.Snapshots)-maxFlightEvents:]
 	}
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if fs.f == nil {
-		return fmt.Errorf("store: flight store is closed")
-	}
-	if _, existed := fs.index[rec.JobID]; existed {
-		fs.dead++
-	}
-	if _, err := writeFrame(fs.bw, rec); err != nil {
-		return err
-	}
-	if err := fs.bw.Flush(); err != nil {
-		return fmt.Errorf("store: flight flush: %w", err)
-	}
-	if err := fs.f.Sync(); err != nil {
-		return fmt.Errorf("store: flight fsync: %w", err)
-	}
-	fs.insert(rec)
-	fs.evictLocked()
-	return nil
+	return fs.file.put(rec)
 }
 
 // Get returns the live flight record for a job ID.
-func (fs *FlightStore) Get(jobID string) (FlightRecord, bool) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	rec, ok := fs.index[jobID]
-	return rec, ok
-}
+func (fs *FlightStore) Get(jobID string) (FlightRecord, bool) { return fs.file.get(jobID) }
 
 // Len returns the number of live flight records.
-func (fs *FlightStore) Len() int {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return len(fs.index)
-}
+func (fs *FlightStore) Len() int { return fs.file.len() }
 
 // Close flushes and closes the backing file. Further puts fail.
-func (fs *FlightStore) Close() error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if fs.f == nil {
-		return nil
-	}
-	var firstErr error
-	if err := fs.bw.Flush(); err != nil {
-		firstErr = err
-	}
-	if err := fs.f.Sync(); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	if err := fs.f.Close(); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	fs.f = nil
-	return firstErr
-}
+func (fs *FlightStore) Close() error { return fs.file.close() }

@@ -29,9 +29,6 @@ type Store struct {
 // Options tunes Open. Zero values select defaults.
 type Options struct {
 	WAL WALOptions
-
-	// FlightCap bounds retained flight records (<= 0 = default 1024).
-	FlightCap int
 }
 
 // Open opens (creating if needed) the store rooted at dir.
@@ -58,7 +55,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		wal.Close()
 		return nil, err
 	}
-	flights, err := OpenFlightStore(dir, opts.FlightCap)
+	flights, err := OpenFlightStore(dir, 0)
 	if err != nil {
 		wal.Close()
 		wh.Close()
