@@ -36,6 +36,19 @@ func TestRunCtxAlreadyCancelled(t *testing.T) {
 	if r.Instructions != 0 {
 		t.Fatalf("cancelled-before-start run simulated %d instructions, want 0", r.Instructions)
 	}
+
+	// The same on four contexts: no context steps an instruction.
+	names := []string{"gcc2k", "mcf", "gcc2k", "linpack"}
+	p := New(smtConfig(4, 0), nil)
+	merged := p.RunSMTCtx(ctx, smtGens(t, names, 1_000_000), names, "smt4", "base")
+	if !merged.Aborted || merged.Instructions != 0 {
+		t.Fatalf("cancelled-before-start 4-context run: %+v, want Aborted with 0 instructions", merged)
+	}
+	for i := range names {
+		if c := p.ContextRun(i); !c.Aborted || c.Instructions != 0 {
+			t.Fatalf("context %d of a cancelled-before-start run: %+v, want Aborted with 0 instructions", i, c)
+		}
+	}
 }
 
 func TestRunCtxCancelsWithinOneInterval(t *testing.T) {
@@ -54,6 +67,29 @@ func TestRunCtxCancelsWithinOneInterval(t *testing.T) {
 	if r.Instructions > at+cancelCheckInterval {
 		t.Fatalf("run continued %d instructions past cancellation, want <= one check interval (%d)",
 			r.Instructions-at, cancelCheckInterval)
+	}
+
+	// Four contexts over live streams, cancelled by context 0's
+	// generator: by then every context has run about at instructions,
+	// and the machine stops within one check interval across all four.
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	names := []string{"gcc2k", "mcf", "gcc2k", "linpack"}
+	gens := smtGens(t, names, 10_000_000)
+	gens[0] = &cancellingGen{Generator: gens[0], n: at, cancel: cancel}
+	p := New(smtConfig(4, 0), nil)
+	merged := p.RunSMTCtx(ctx, gens, names, "smt4", "base")
+	if !merged.Aborted {
+		t.Fatal("cancelled 4-context run not marked Aborted")
+	}
+	if merged.Instructions > 4*at+cancelCheckInterval {
+		t.Fatalf("4-context run stepped %d instructions, want <= 4·%d + one check interval (%d)",
+			merged.Instructions, at, cancelCheckInterval)
+	}
+	for i := range names {
+		if c := p.ContextRun(i); !c.Aborted {
+			t.Fatalf("context %d finished its 10M-instruction stream in a cancelled run: %+v", i, c)
+		}
 	}
 }
 

@@ -122,7 +122,7 @@ func TestGoldenDifferential(t *testing.T) {
 						t.Fatalf("%s/%s: %s run over a recording left hierarchy counters %+v, want %+v",
 							eng.name, w.Name, phase, gotHier, wantHier)
 					}
-					if o := rep.BranchOutcomes(); o == nil || o.Len != goldenInsts {
+					if o := rep.BranchOutcomes(1); o == nil || o.Lens[0] != goldenInsts {
 						t.Fatalf("%s/%s: after the %s run the recording holds outcomes %+v, want %d instructions",
 							eng.name, w.Name, phase, o, goldenInsts)
 					}
@@ -285,13 +285,13 @@ func TestGoldenBranchOutcomes(t *testing.T) {
 		if !run(t, cfg, rep.CursorN(prefix), short) {
 			t.Fatal("the first run over a recording replayed outcomes")
 		}
-		if o := rep.BranchOutcomes(); o == nil || o.Len != prefix {
+		if o := rep.BranchOutcomes(1); o == nil || o.Lens[0] != prefix {
 			t.Fatalf("prefix run published %+v, want %d instructions", o, prefix)
 		}
 		if !run(t, cfg, rep.Cursor(), full) {
 			t.Fatal("a run longer than the published outcomes replayed them")
 		}
-		if o := rep.BranchOutcomes(); o == nil || o.Len != goldenInsts {
+		if o := rep.BranchOutcomes(1); o == nil || o.Lens[0] != goldenInsts {
 			t.Fatalf("full run left %+v, want its own %d instructions", o, goldenInsts)
 		}
 		if run(t, cfg, rep.Cursor(), full) {
@@ -302,14 +302,14 @@ func TestGoldenBranchOutcomes(t *testing.T) {
 	t.Run("full then prefix", func(t *testing.T) {
 		rep := trace.Record(w.Build(goldenInsts), 0, 0)
 		run(t, cfg, rep.Cursor(), full)
-		o := rep.BranchOutcomes()
-		if o == nil || o.Len != goldenInsts {
+		o := rep.BranchOutcomes(1)
+		if o == nil || o.Lens[0] != goldenInsts {
 			t.Fatalf("full run published %+v, want %d instructions", o, goldenInsts)
 		}
 		if run(t, cfg, rep.CursorN(prefix), short) {
 			t.Fatal("a prefix of the published outcomes predicted live")
 		}
-		if rep.BranchOutcomes() != o {
+		if rep.BranchOutcomes(1) != o {
 			t.Fatal("a replaying run replaced the published outcomes")
 		}
 	})
@@ -324,7 +324,7 @@ func TestGoldenBranchOutcomes(t *testing.T) {
 		if !r.Aborted {
 			t.Fatal("run under a cancelled context not marked Aborted")
 		}
-		if o := rep.BranchOutcomes(); o != nil {
+		if o := rep.BranchOutcomes(1); o != nil {
 			t.Fatalf("aborted run published %+v", o)
 		}
 		run(t, cfg, rep.Cursor(), full)
@@ -338,7 +338,7 @@ func TestGoldenBranchOutcomes(t *testing.T) {
 		const n = 40_000
 		rep := trace.Record(w.Build(n), 0, 0)
 		run(t, cfg, rep.Cursor(), ref(cfg, w.Build(n)))
-		o := rep.BranchOutcomes()
+		o := rep.BranchOutcomes(1)
 		other := DefaultConfig()
 		other.TAGE.UseAltBits = 1
 		want := ref(other, w.Build(n))
@@ -348,7 +348,7 @@ func TestGoldenBranchOutcomes(t *testing.T) {
 		if !run(t, other, rep.Cursor(), want) {
 			t.Fatal("a run under another TAGE configuration replayed the default configuration's outcomes")
 		}
-		if rep.BranchOutcomes() != o {
+		if rep.BranchOutcomes(1) != o {
 			t.Fatal("a run under another configuration replaced the published outcomes")
 		}
 	})
@@ -429,7 +429,7 @@ func TestGoldenBranchOutcomes(t *testing.T) {
 					t.Fatalf("concurrent run %d diverged\n got: %+v\nwant: %+v", i, r, want)
 				}
 			}
-			if o := rep.BranchOutcomes(); o == nil || o.Len != n {
+			if o := rep.BranchOutcomes(1); o == nil || o.Lens[0] != n {
 				t.Fatalf("concurrent runs left %+v, want %d instructions", o, n)
 			}
 			if run(t, cfg, rep.Cursor(), want) {

@@ -41,22 +41,22 @@ func (t *hierTape) replayLoad() mem.Served {
 	return served
 }
 
-// beginHierarchy sets up how context s's run over the first n
-// instructions of rec treats the memory hierarchy, and returns the
+// beginHierarchy sets up how context s's run over rec, from its first
+// instruction to its end, treats the memory hierarchy, and returns the
 // slot's contents at run start. When the instructions alone decide the
 // accesses (see hierarchyFromTrace), what a fresh hierarchy makes of
 // them depends only on the recording, the hierarchy configuration and
 // the forwarding window. The run therefore replays the recording's
 // outcomes when they were recorded under this configuration and window
-// over exactly n instructions, since their counters describe the whole
+// over exactly rec's length, since their counters describe the whole
 // run; it records its own when the slot is empty or holds this key's
 // outcomes for a shorter prefix; otherwise it accesses the hierarchy
 // and leaves the slot alone.
-func (p *Pipeline) beginHierarchy(s *ctxSlice, rec *trace.Replay, n int) *trace.HierarchyOutcomes {
+func (p *Pipeline) beginHierarchy(s *ctxSlice, rec *trace.Replay) *trace.HierarchyOutcomes {
 	if !p.hierarchyFromTrace() {
 		return nil
 	}
-	held := rec.HierarchyOutcomes()
+	held, n := rec.HierarchyOutcomes(), rec.Len()
 	t := &p.tape
 	switch {
 	case held != nil && (held.Config != p.cfg.Hierarchy || held.ForwardWindow != p.forwardWindow()):
@@ -101,13 +101,13 @@ func (p *Pipeline) hierarchyFromTrace() bool {
 // still forwards its data to a load: 4·STQ.
 func (p *Pipeline) forwardWindow() int { return 4 * p.cfg.STQ }
 
-// endHierarchy finishes the hierarchy outcomes of context s's complete
-// run over the first n instructions of rec. A recording tape offers
-// them to later runs, replacing held, what the slot held at run start;
-// if another run published in between, that publication stands. A
-// replaying tape, which must have been asked for every recorded
-// access, installs the recorded counters.
-func (p *Pipeline) endHierarchy(s *ctxSlice, rec *trace.Replay, held *trace.HierarchyOutcomes, n int) {
+// endHierarchy finishes the hierarchy outcomes, if any, of context s's
+// complete run over rec. A recording tape offers them to later runs,
+// replacing held, what the slot held at run start; if another run
+// published in between, that publication stands. A replaying tape,
+// which must have been asked for every recorded access, installs the
+// recorded counters.
+func (p *Pipeline) endHierarchy(s *ctxSlice, rec *trace.Replay, held *trace.HierarchyOutcomes) {
 	t := s.tape
 	switch {
 	case t == nil:
@@ -115,7 +115,7 @@ func (p *Pipeline) endHierarchy(s *ctxSlice, rec *trace.Replay, held *trace.Hier
 		rec.PublishHierarchyOutcomes(held, &trace.HierarchyOutcomes{
 			Config:        p.cfg.Hierarchy,
 			ForwardWindow: p.forwardWindow(),
-			Len:           n,
+			Len:           rec.Len(),
 			Loads:         append([]mem.Served(nil), t.loads...),
 			FetchMisses:   append([]uint64(nil), t.misses...),
 			Stats:         p.hier.Stats(),

@@ -90,6 +90,12 @@ func runSMT(p *Pipeline, gens []trace.Generator, streams []string) smtRun {
 	return r
 }
 
+// sameMix reports whether o covers exactly the recordings gens read,
+// in context order and at their lengths.
+func sameMix(o *trace.BranchOutcomes, gens []trace.Generator) bool {
+	return len(gens) > 1 && covers(o, gens)
+}
+
 // TestGoldenMixDifferential pins interleaved runs over recordings to
 // interleaved runs over live generators, merged and per context, for
 // every engine, two and four contexts, and both interleave policies
@@ -138,14 +144,14 @@ func TestGoldenMixDifferential(t *testing.T) {
 							if got.live != (phase == "filling") {
 								t.Fatalf("%v: %s run predicted live = %v", names, phase, got.live)
 							}
-							o := m.recs[0].MixOutcomes()
-							if o == nil || len(o.Contexts) != k {
+							o := m.recs[0].BranchOutcomes(k)
+							if o == nil || len(o.Lens) != k {
 								t.Fatalf("%v: after the %s run context 0's recording holds %+v", names, phase, o)
 							}
-							for i, c := range o.Contexts {
-								if c.Recording != m.recs[i].ID() || c.Len != n {
+							for i, id := range o.Recordings {
+								if id != m.recs[i].ID() || o.Lens[i] != n {
 									t.Fatalf("%v: published context %d is %v at %d instructions, want %v at %d",
-										names, i, c.Recording, c.Len, m.recs[i].ID(), n)
+										names, i, id, o.Lens[i], m.recs[i].ID(), n)
 								}
 							}
 						}
@@ -191,7 +197,7 @@ func TestMixOutcomeGuards(t *testing.T) {
 		if !run(t, cfg, m.streams, m.cursors) {
 			t.Fatal("the first run over a mix replayed outcomes")
 		}
-		if m.recs[0].MixOutcomes() == nil {
+		if m.recs[0].BranchOutcomes(len(m.recs)) == nil {
 			t.Fatal("a complete first run published nothing")
 		}
 		return m
@@ -200,11 +206,11 @@ func TestMixOutcomeGuards(t *testing.T) {
 	// m's lead recording as it was.
 	liveAlone := func(t *testing.T, m recMix, cfg Config, streams []string, gens func() []trace.Generator) {
 		t.Helper()
-		held := m.recs[0].MixOutcomes()
+		held := m.recs[0].BranchOutcomes(len(m.recs))
 		if !run(t, cfg, streams, gens) {
 			t.Fatal("the run replayed the mix's outcomes")
 		}
-		if m.recs[0].MixOutcomes() != held {
+		if m.recs[0].BranchOutcomes(len(m.recs)) != held {
 			t.Fatal("the run replaced the mix's outcomes")
 		}
 	}
@@ -212,11 +218,11 @@ func TestMixOutcomeGuards(t *testing.T) {
 	// m's lead recording, and that the same run then replays.
 	replaced := func(t *testing.T, m recMix, streams []string, gens func() []trace.Generator) {
 		t.Helper()
-		held := m.recs[0].MixOutcomes()
+		held := m.recs[0].BranchOutcomes(len(m.recs))
 		if !run(t, cfg, streams, gens) {
 			t.Fatal("a run over another mix replayed the held outcomes")
 		}
-		if m.recs[0].MixOutcomes() == held {
+		if m.recs[0].BranchOutcomes(len(m.recs)) == held {
 			t.Fatal("a complete run over another mix left the held outcomes")
 		}
 		if run(t, cfg, streams, gens) {
@@ -249,11 +255,11 @@ func TestMixOutcomeGuards(t *testing.T) {
 		}
 		// Another lead: its own slot, m's stays.
 		streams, gens := swap(0, 1)
-		held := m.recs[0].MixOutcomes()
+		held := m.recs[0].BranchOutcomes(len(m.recs))
 		if !run(t, cfg, streams, gens) {
 			t.Fatal("a run led by another recording replayed outcomes")
 		}
-		if m.recs[0].MixOutcomes() != held {
+		if m.recs[0].BranchOutcomes(len(m.recs)) != held {
 			t.Fatal("a run led by another recording replaced the mix's outcomes")
 		}
 		// The same lead: another mix of it.
@@ -264,11 +270,11 @@ func TestMixOutcomeGuards(t *testing.T) {
 	t.Run("fewer contexts", func(t *testing.T) {
 		m := filled(t)
 		two := recMix{streams: m.streams[:2], recs: m.recs[:2]}
-		held := m.recs[0].MixOutcomes()
+		held := m.recs[0].BranchOutcomes(len(m.recs))
 		if !run(t, smtConfig(2, 0), two.streams, two.cursors) {
 			t.Fatal("a 2-context run replayed a 4-context mix's outcomes")
 		}
-		if o := m.recs[0].MixOutcomes(); o == held || len(o.Contexts) != 2 {
+		if o := m.recs[0].BranchOutcomes(len(m.recs)); o == held || len(o.Lens) != 2 {
 			t.Fatalf("a complete 2-context run over the lead left %+v", o)
 		}
 		if !run(t, cfg, m.streams, m.cursors) {
@@ -305,7 +311,7 @@ func TestMixOutcomeGuards(t *testing.T) {
 				t.Fatalf("a run cancelled before its first instruction moved context %d's cursor to %d", i, pos)
 			}
 		}
-		if o := m.recs[0].MixOutcomes(); o != nil {
+		if o := m.recs[0].BranchOutcomes(len(m.recs)); o != nil {
 			t.Fatalf("aborted run published %+v", o)
 		}
 		if !run(t, cfg, m.streams, m.cursors) {
@@ -334,7 +340,7 @@ func TestMixOutcomeGuards(t *testing.T) {
 				p.RunSMTCtx(ctx, hide(m.cursors()), m.streams, "warm", "warm")
 			}},
 		} {
-			held := m.recs[0].MixOutcomes()
+			held := m.recs[0].BranchOutcomes(len(m.recs))
 			live := New(cfg, mk(seed))
 			c.warm(live)
 			want := runSMT(live, hide(m.cursors()), m.streams)
@@ -348,7 +354,7 @@ func TestMixOutcomeGuards(t *testing.T) {
 			if p.tage.StatsSnapshot().Lookups == warm {
 				t.Fatalf("after %s: a run on a used pipeline replayed a fresh run's outcomes", c.name)
 			}
-			if m.recs[0].MixOutcomes() != held {
+			if m.recs[0].BranchOutcomes(len(m.recs)) != held {
 				t.Fatalf("after %s: a run on a used pipeline replaced the outcomes", c.name)
 			}
 		}
@@ -382,8 +388,8 @@ func TestMixOutcomeGuards(t *testing.T) {
 		m2 := recMix{streams: m.streams, recs: slices.Clone(m.recs)}
 		m2.recs[1] = regen.recs[1]
 		replaced(t, m2, m2.streams, m2.cursors)
-		if o := m.recs[0].MixOutcomes(); o.Contexts[1].Recording != m2.recs[1].ID() {
-			t.Fatalf("the slot names recording %v for context 1, want the regenerated %v", o.Contexts[1].Recording, m2.recs[1].ID())
+		if o := m.recs[0].BranchOutcomes(len(m.recs)); o.Recordings[1] != m2.recs[1].ID() {
+			t.Fatalf("the slot names recording %v for context 1, want the regenerated %v", o.Recordings[1], m2.recs[1].ID())
 		}
 	})
 }
@@ -417,8 +423,8 @@ func TestMixSlotIsolation(t *testing.T) {
 	if got := mix(); !got.equal(wantMix) || !got.live {
 		t.Fatalf("filling mix run: live %v, diverged %v", got.live, !got.equal(wantMix))
 	}
-	mixHeld := lead.MixOutcomes()
-	if lead.BranchOutcomes() != nil {
+	mixHeld := lead.BranchOutcomes(len(m.recs))
+	if lead.BranchOutcomes(1) != nil {
 		t.Fatal("an interleaved run filled the single-context slot")
 	}
 	for i, wantLive := range []bool{true, false} {
@@ -426,15 +432,15 @@ func TestMixSlotIsolation(t *testing.T) {
 		if got != wantSingle || live != wantLive {
 			t.Fatalf("single-context run %d: live %v (want %v), diverged %v", i, live, wantLive, got != wantSingle)
 		}
-		if lead.MixOutcomes() != mixHeld {
+		if lead.BranchOutcomes(len(m.recs)) != mixHeld {
 			t.Fatalf("single-context run %d replaced the mix's outcomes", i)
 		}
 	}
-	singleHeld := lead.BranchOutcomes()
+	singleHeld := lead.BranchOutcomes(1)
 	if got := mix(); !got.equal(wantMix) || got.live {
 		t.Fatalf("replaying mix run: live %v, diverged %v", got.live, !got.equal(wantMix))
 	}
-	if lead.BranchOutcomes() != singleHeld {
+	if lead.BranchOutcomes(1) != singleHeld {
 		t.Fatal("an interleaved run replaced the single-context outcomes")
 	}
 }
@@ -475,7 +481,7 @@ func TestMixConcurrentFirstRuns(t *testing.T) {
 				t.Fatalf("concurrent run %d diverged\n got: %+v\nwant: %+v", i, r, want)
 			}
 		}
-		o := m.recs[0].MixOutcomes()
+		o := m.recs[0].BranchOutcomes(len(m.recs))
 		if o == nil || !sameMix(o, m.cursors()) {
 			t.Fatalf("concurrent runs left %+v", o)
 		}

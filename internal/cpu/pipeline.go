@@ -3,6 +3,7 @@ package cpu
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -207,23 +208,23 @@ type ctxSlice struct {
 
 	run stats.Run
 
-	// Scratch instruction slot for the run loop. A local would escape
-	// to the heap through the gen.Next interface call, costing one
-	// allocation per run.
-	in trace.Inst
-
-	// insts is the not yet consumed part of the context's recording
-	// while an interleaved run walks it in place (see RunSMTCtx).
+	// insts is the part of the context's stream the current run has
+	// read but not stepped yet: the rest of its recording, walked in
+	// place, or of the last chunk read from its live generator into
+	// buf. live is that generator until it runs dry; nil for a
+	// recording. Both are set only for the run's duration.
 	insts []trace.Inst
+	live  trace.Generator
+	buf   [liveChunk]trace.Inst
 
-	// Branch outcomes of a run over recordings (see beginOutcomes and
-	// beginMix): brKnown holds the mispredict bits the run replays
-	// instead of predicting, brSeen collects them for publication. At
-	// most one is set, and only for the run's duration.
+	// Branch outcomes of a run over recordings (see beginBranches):
+	// brKnown holds the mispredict bits the run replays instead of
+	// predicting, brSeen collects them for publication. At most one is
+	// set, and only for the run's duration.
 	brKnown []uint64
 	brSeen  []uint64
 
-	// Interleaved-run cursor state, set up by each RunSMT.
+	// Run cursor state, set up by each run.
 	seq        uint64
 	lastCommit uint64
 	done       bool
@@ -301,7 +302,8 @@ func (s *ctxSlice) resetRun() {
 // Run/RunCtx simulate context 0 alone — the single-context model,
 // bit-identical to the pre-split pipeline; RunSMT interleaves all
 // contexts over independent instruction streams, contending for the
-// shared predictor tables, caches, and TLB (see DESIGN.md §14).
+// shared predictor tables, caches, and TLB (see DESIGN.md §14). Both
+// step their contexts through one run loop (see run).
 type Pipeline struct {
 	cfg    Config
 	hier   *mem.Hierarchy
@@ -535,13 +537,12 @@ func (p *Pipeline) publishProgress(pr *Progress, r *stats.Run, insts, cycles uin
 	pr.publish(&s)
 }
 
-// publishSMTProgress publishes the machine-wide aggregate of an
-// interleaved run: summed counters, the maximum per-context commit
-// cycle.
-func (p *Pipeline) publishSMTProgress() {
+// publishAggregate publishes the machine-wide aggregate of a run over
+// contexts cs: summed counters, the maximum per-context commit cycle.
+func (p *Pipeline) publishAggregate(cs []*ctxSlice) {
 	var agg stats.Run
 	var insts, cycles uint64
-	for _, s := range p.ctxs {
+	for _, s := range cs {
 		insts += s.seq
 		if s.lastCommit > cycles {
 			cycles = s.lastCommit
@@ -569,20 +570,16 @@ func (p *Pipeline) resourceClobbers() uint64 {
 	return n
 }
 
-// cancelCheckInterval is how many instructions run between context
-// cancellation checks in RunCtx. It bounds how long a cancelled
-// simulation keeps running: one check interval at most.
+// cancelCheckInterval is how many instructions a run steps, across
+// all its contexts, between cancellation checks. It bounds how long a
+// cancelled simulation keeps running: one check interval at most.
 const cancelCheckInterval = 8192
 
-// instSlicer is the optional Generator refinement the run loop uses to
-// walk an in-memory instruction stream in place (implemented by
-// trace.Replay and artifact cursors). The returned slice is read-only:
-// step never writes through its *trace.Inst, so one recording can feed
-// many concurrent pipelines.
-type instSlicer interface {
-	Remaining() []trace.Inst
-	Advance(n int)
-}
+// liveChunk is how many instructions a run reads at a time from a
+// generator that is not a recording. Reading a chunk keeps the
+// generator's interface call off the per-instruction path without
+// holding a whole live stream in memory.
+const liveChunk = 256
 
 // Run simulates gen to completion and returns the collected metrics.
 func (p *Pipeline) Run(gen trace.Generator, workload, config string) stats.Run {
@@ -599,122 +596,15 @@ func (p *Pipeline) Run(gen trace.Generator, workload, config string) stats.Run {
 //
 // A run over a recording may replay the recording's branch outcomes
 // instead of predicting them, or publish the outcomes it predicted for
-// later runs (see beginOutcomes), and likewise for what the memory
+// later runs (see beginBranches), and likewise for what the memory
 // hierarchy made of its accesses (see beginHierarchy); the returned
 // metrics are the same either way, and so are the hierarchy's counters
 // after a complete run. A run that replayed leaves the predictors and
 // caches untrained, so the next run on the pipeline must follow a
 // Reset; without one it panics.
 func (p *Pipeline) RunCtx(ctx context.Context, gen trace.Generator, workload, config string) stats.Run {
-	p.checkTrained("Run")
-	s := &p.one
-	p.cur = s
-	fresh := p.fresh
-	p.fresh = false
-	// The simulator's memory image starts equal to the workload's: the
-	// backing fill function is shared via Clone, and stores are applied
-	// as they execute. A reused pipeline copies into its existing image
-	// instead of allocating a new one.
-	if s.simMem == nil {
-		s.simMem = gen.Mem().Clone()
-	} else {
-		s.simMem.CopyFrom(gen.Mem())
-	}
-
-	s.run = stats.Run{Workload: workload, Config: config}
-	if p.progress != nil {
-		p.progStart = time.Now().UnixNano()
-		p.progLeft = p.progEvery
-	}
-	done := ctx.Done()
-	var seq uint64
-	var lastCommit uint64
-	if sl, ok := gen.(instSlicer); ok {
-		// Slice fast path: generators whose remaining stream is already
-		// in memory (Replay, artifact cursors) are walked in place — no
-		// per-instruction interface dispatch, no 64-byte copy into the
-		// scratch slot. Identical control flow to the generic loop below.
-		insts := sl.Remaining()
-		rec, _ := gen.(*trace.Replay)
-		var held *trace.BranchOutcomes
-		var heldHier *trace.HierarchyOutcomes
-		if rec != nil && fresh && rec.Pos() == 0 {
-			held = p.beginOutcomes(s, rec, len(insts))
-			heldHier = p.beginHierarchy(s, rec, len(insts))
-		}
-		for seq < uint64(len(insts)) {
-			if done != nil && seq%cancelCheckInterval == 0 {
-				select {
-				case <-done:
-					s.run.Aborted = true
-				default:
-				}
-				if s.run.Aborted {
-					break
-				}
-			}
-			lastCommit = p.step(s, seq, &insts[seq])
-			seq++
-			if seq%4096 == 0 {
-				p.prune(s)
-			}
-			if p.progress != nil {
-				p.progLeft--
-				if p.progLeft == 0 {
-					p.progLeft = p.progEvery
-					p.publishProgress(p.progress, &s.run, seq, lastCommit)
-				}
-			}
-		}
-		sl.Advance(int(seq))
-		if !s.run.Aborted {
-			if s.brSeen != nil {
-				p.publishOutcomes(s, rec, held, len(insts))
-			}
-			p.endHierarchy(s, rec, heldHier, len(insts))
-		}
-		p.stale = s.brKnown != nil || s.tape != nil && s.tape.known != nil
-		s.brKnown, s.brSeen = nil, nil
-		s.tape, p.tape.known = nil, nil
-	} else {
-		for {
-			if done != nil && seq%cancelCheckInterval == 0 {
-				select {
-				case <-done:
-					s.run.Aborted = true
-				default:
-				}
-				if s.run.Aborted {
-					break
-				}
-			}
-			if !gen.Next(&s.in) {
-				break
-			}
-			lastCommit = p.step(s, seq, &s.in)
-			seq++
-			if seq%4096 == 0 {
-				p.prune(s)
-			}
-			if p.progress != nil {
-				p.progLeft--
-				if p.progLeft == 0 {
-					p.progLeft = p.progEvery
-					p.publishProgress(p.progress, &s.run, seq, lastCommit)
-				}
-			}
-		}
-	}
-	s.run.Instructions = seq
-	s.run.Cycles = lastCommit
-	if p.engine != nil && p.instretBatch > 0 {
-		p.engine.Instret(p.instretBatch)
-		p.instretBatch = 0
-	}
-	if p.progress != nil {
-		p.publishProgress(p.progress, &s.run, seq, lastCommit)
-	}
-	return s.run
+	p.run(ctx, "Run", p.built[:1], []trace.Generator{gen}, []string{workload}, config)
+	return p.one.run
 }
 
 // RunSMT simulates one generator per hardware context to completion,
@@ -740,23 +630,41 @@ func (p *Pipeline) RunSMT(gens []trace.Generator, workloads []string, label, con
 // ContextRun); the returned Run is the machine-wide merge — summed
 // counters, Cycles the maximum per-context commit cycle — labeled with
 // label. Cancellation marks every unfinished context's run (and the
-// merged run) Aborted.
-//
-// When every generator is a recording, the run walks the recordings in
-// place, as RunCtx's slice path does, and advances each cursor by what
-// its context consumed. A run over recordings may also replay a mix's
-// branch outcomes, or publish the outcomes it predicted for later runs
-// of the same mix (see beginMix); the returned metrics are the same
-// either way.
+// merged run) Aborted. A run over recordings may replay, or publish,
+// branch outcomes as RunCtx's does; one context is a lone context, as
+// in RunCtx.
 func (p *Pipeline) RunSMTCtx(ctx context.Context, gens []trace.Generator, workloads []string, label, config string) stats.Run {
 	if len(gens) != len(p.ctxs) {
 		panic(fmt.Sprintf("cpu: RunSMT: %d generators for a %d-context pipeline", len(gens), len(p.ctxs)))
 	}
-	p.checkTrained("RunSMT")
+	aborted := p.run(ctx, "RunSMT", p.ctxs, gens, workloads, config)
+	merged := stats.Run{Workload: label, Config: config, Aborted: aborted}
+	for _, s := range p.ctxs {
+		stats.Accumulate(&merged, s.run)
+	}
+	return merged
+}
+
+// run simulates gens[i] on context cs[i], labelled workloads[i] and
+// config, until every stream ends or ctx is cancelled, and reports
+// whether it was cancelled. It is the one run loop: the contexts take
+// turns of turnLength instructions in context order, and a lone
+// context runs its whole stream as one turn. A recording is walked in
+// place, and its cursor advances by what its context stepped; any
+// other generator is read liveChunk instructions at a time, so a
+// cancelled run may have read up to a chunk past what it stepped.
+// Cancellation is checked before the first instruction and then every
+// cancelCheckInterval instructions stepped across all contexts, always
+// before a further chunk is read.
+func (p *Pipeline) run(ctx context.Context, entry string, cs []*ctxSlice, gens []trace.Generator, workloads []string, config string) (aborted bool) {
+	p.checkTrained(entry)
 	fresh := p.fresh
 	p.fresh = false
-	walk := true
-	for i, s := range p.ctxs {
+	for i, s := range cs {
+		// The simulator's memory image starts equal to the workload's:
+		// the backing fill function is shared via Clone, and stores are
+		// applied as they execute. A reused pipeline copies into its
+		// existing image instead of allocating a new one.
 		if s.simMem == nil {
 			s.simMem = gens[i].Mem().Clone()
 		} else {
@@ -764,223 +672,241 @@ func (p *Pipeline) RunSMTCtx(ctx context.Context, gens []trace.Generator, worklo
 		}
 		s.run = stats.Run{Workload: workloads[i], Config: config}
 		s.seq, s.lastCommit, s.done = 0, 0, false
-		if _, ok := gens[i].(instSlicer); !ok {
-			walk = false
-		}
-	}
-	if walk {
-		for i, s := range p.ctxs {
-			s.insts = gens[i].(instSlicer).Remaining()
+		s.insts, s.live = nil, gens[i]
+		if r, ok := gens[i].(*trace.Replay); ok {
+			s.insts, s.live = r.Remaining(), nil
 		}
 	}
 	var lead *trace.Replay
-	var held *trace.MixOutcomes
 	if fresh {
-		lead, held = p.beginMix(gens)
+		lead = fromStart(gens)
+	}
+	var held *trace.BranchOutcomes
+	var heldHier *trace.HierarchyOutcomes
+	if lead != nil {
+		held = p.beginBranches(cs, gens, lead)
+		if len(cs) == 1 {
+			heldHier = p.beginHierarchy(cs[0], lead)
+		}
 	}
 	if p.progress != nil {
 		p.progStart = time.Now().UnixNano()
 		p.progLeft = p.progEvery
 	}
-	quantum := p.smtQuantum()
+
+	turn := p.turnLength(len(cs))
+	if turn == 0 {
+		turn = math.MaxInt
+	}
 	done := ctx.Done()
-	var total, checkAt uint64
-	aborted := false
-	active := len(p.ctxs)
-	for active > 0 && !aborted {
-		for i, s := range p.ctxs {
+	var total, checkAt uint64 // instructions stepped, and where the next check falls
+	if done == nil {
+		checkAt = math.MaxUint64
+	}
+	for active := len(cs); active > 0 && !aborted; {
+		for _, s := range cs {
 			if s.done {
 				continue
 			}
-			if done != nil && total >= checkAt {
-				select {
-				case <-done:
-					aborted = true
-				default:
-				}
-				checkAt = total + cancelCheckInterval
-				if aborted {
-					break
-				}
-			}
 			p.cur = s
-			gen := gens[i]
-			for q := 0; q < quantum; q++ {
-				in := &s.in
-				if walk {
-					if len(s.insts) == 0 {
-						s.done = true
-						active--
+			for left := turn; left > 0; {
+				if total >= checkAt {
+					select {
+					case <-done:
+						aborted = true
+					default:
+					}
+					if aborted {
 						break
 					}
-					in = &s.insts[0]
-					s.insts = s.insts[1:]
-				} else if !gen.Next(in) {
+					checkAt = total + cancelCheckInterval
+				}
+				if len(s.insts) == 0 && !s.refill() {
 					s.done = true
 					active--
 					break
 				}
-				s.lastCommit = p.step(s, s.seq, in)
-				s.seq++
-				total++
-				if s.seq%4096 == 0 {
-					p.prune(s)
+				n := min(left, len(s.insts))
+				if d := checkAt - total; d < uint64(n) {
+					n = int(d)
 				}
-				if s.progress != nil {
-					s.progLeft--
-					if s.progLeft == 0 {
-						s.progLeft = p.progEvery
-						p.publishProgress(s.progress, &s.run, s.seq, s.lastCommit)
-					}
-				}
-				if p.progress != nil {
-					p.progLeft--
-					if p.progLeft == 0 {
-						p.progLeft = p.progEvery
-						p.publishSMTProgress()
-					}
-				}
+				p.steps(cs, s, n)
+				left -= n
+				total += uint64(n)
+			}
+			if aborted {
+				break
 			}
 		}
 	}
-	if walk {
-		for i, s := range p.ctxs {
-			sl := gens[i].(instSlicer)
-			sl.Advance(len(sl.Remaining()) - len(s.insts))
-			s.insts = nil
+
+	for i, s := range cs {
+		if r, ok := gens[i].(*trace.Replay); ok {
+			r.Advance(int(s.seq))
 		}
+		s.insts, s.live = nil, nil
 	}
-	if lead != nil && p.one.brSeen != nil && !aborted {
-		p.publishMix(lead, held, gens)
+	if lead != nil && !aborted {
+		p.endBranches(cs, gens, held)
+		p.endHierarchy(cs[0], lead, heldHier)
 	}
-	merged := stats.Run{Workload: label, Config: config, Aborted: aborted}
-	for _, s := range p.ctxs {
+	p.stale = p.tape.known != nil
+	cs[0].tape, p.tape.known = nil, nil
+	for _, s := range cs {
 		p.stale = p.stale || s.brKnown != nil
 		s.brKnown, s.brSeen = nil, nil
 		s.run.Instructions = s.seq
 		s.run.Cycles = s.lastCommit
 		s.run.Aborted = aborted && !s.done
-		stats.Accumulate(&merged, s.run)
 	}
 	if p.engine != nil && p.instretBatch > 0 {
 		p.engine.Instret(p.instretBatch)
 		p.instretBatch = 0
 	}
-	for _, s := range p.ctxs {
+	for _, s := range cs {
 		if s.progress != nil {
 			p.publishProgress(s.progress, &s.run, s.seq, s.lastCommit)
 		}
 	}
 	if p.progress != nil {
-		p.publishSMTProgress()
+		p.publishAggregate(cs)
 	}
-	return merged
+	return aborted
 }
 
-// beginOutcomes sets up how context s's run over the first n
-// instructions of rec treats branches, and returns the slot's contents
-// at run start. On a fresh pipeline TAGE, ITTAGE and the RAS see only
-// this stream, so whether each branch is mispredicted depends on the
-// instructions and the branch configuration alone. The run therefore
-// replays the recording's published outcomes when they were computed
-// under this configuration and cover at least n instructions; it
-// collects its own for publication when the slot is empty or holds
-// this configuration's outcomes for a shorter prefix; otherwise it
-// predicts live and leaves the slot alone.
-func (p *Pipeline) beginOutcomes(s *ctxSlice, rec *trace.Replay, n int) *trace.BranchOutcomes {
-	held := rec.BranchOutcomes()
+// refill reads the next chunk of context s's live generator into its
+// buffer and reports whether the stream had any instruction left. A
+// recording has none past what it was walking, and neither has a
+// generator that already came up short.
+func (s *ctxSlice) refill() bool {
+	if s.live == nil {
+		return false
+	}
+	n := 0
+	for n < liveChunk && s.live.Next(&s.buf[n]) {
+		n++
+	}
+	if n < liveChunk {
+		s.live = nil
+	}
+	s.insts = s.buf[:n]
+	return n > 0
+}
+
+// steps steps the next n instructions of context s, one of the run's
+// contexts cs, and publishes progress on its cadence.
+func (p *Pipeline) steps(cs []*ctxSlice, s *ctxSlice, n int) {
+	insts := s.insts[:n]
+	s.insts = s.insts[n:]
+	seq, last := s.seq, s.lastCommit
+	progress := s.progress != nil || p.progress != nil
+	for i := range insts {
+		last = p.step(s, seq, &insts[i])
+		seq++
+		if seq%4096 == 0 {
+			p.prune(s)
+		}
+		if !progress {
+			continue
+		}
+		s.seq, s.lastCommit = seq, last
+		if s.progress != nil {
+			s.progLeft--
+			if s.progLeft == 0 {
+				s.progLeft = p.progEvery
+				p.publishProgress(s.progress, &s.run, seq, last)
+			}
+		}
+		if p.progress != nil {
+			p.progLeft--
+			if p.progLeft == 0 {
+				p.progLeft = p.progEvery
+				p.publishAggregate(cs)
+			}
+		}
+	}
+	s.seq, s.lastCommit = seq, last
+}
+
+// fromStart returns context 0's recording when every generator is a
+// recording cursor at its first instruction, and nil otherwise.
+func fromStart(gens []trace.Generator) *trace.Replay {
+	for _, g := range gens {
+		if r, ok := g.(*trace.Replay); !ok || r.Pos() != 0 {
+			return nil
+		}
+	}
+	return gens[0].(*trace.Replay)
+}
+
+// beginBranches sets up how a run on a fresh pipeline over gens, every
+// one a recording cursor at its first instruction, treats branches,
+// and returns what the slot of lead, context 0's recording, held at
+// run start. TAGE, ITTAGE and the RAS start reset, and the contexts
+// take turns by instruction count, never by timing, so the branch
+// stream they see, and with it every context's mispredict bits,
+// depends only on the recordings in context order, their lengths, the
+// quantum and the branch configuration. The run therefore replays the
+// slot when it covers this run under this configuration and quantum;
+// it collects its own outcomes for publication when the slot is empty
+// or holds another run under them; otherwise it predicts live and
+// leaves the slot alone.
+func (p *Pipeline) beginBranches(cs []*ctxSlice, gens []trace.Generator, lead *trace.Replay) *trace.BranchOutcomes {
+	held := lead.BranchOutcomes(len(cs))
 	switch {
 	case held == nil:
-		s.brSeen = make([]uint64, (n+63)/64)
-	case !held.BranchConfig.Equal(p.branchConfig()):
-	case n <= held.Len:
-		s.brKnown = held.Mispredicted
-	default:
-		s.brSeen = make([]uint64, (n+63)/64)
+	case held.Quantum != p.turnLength(len(cs)) || !held.BranchConfig.Equal(p.branchConfig()):
+		return held
+	case covers(held, gens):
+		for i, s := range cs {
+			s.brKnown = held.Mispredicted[i]
+		}
+		return held
+	}
+	for i, s := range cs {
+		s.brSeen = make([]uint64, (gens[i].(*trace.Replay).Len()+63)/64)
 	}
 	return held
 }
 
-// publishOutcomes offers the outcomes context s collected over the
-// first n instructions of rec to later runs. It replaces held, what
-// the slot held at run start; if another run published in between,
-// that publication stands.
-func (p *Pipeline) publishOutcomes(s *ctxSlice, rec *trace.Replay, held *trace.BranchOutcomes, n int) {
-	rec.PublishBranchOutcomes(held, &trace.BranchOutcomes{
-		BranchConfig: p.ownBranchConfig(),
-		Len:          n,
-		Mispredicted: s.brSeen,
-	})
-}
-
-// beginMix sets up how an interleaved run over gens treats branches,
-// and returns context 0's recording, whose mix slot the run may
-// publish to, with the slot's contents at run start; a nil recording
-// means the run predicts live and publishes nothing. The contexts take
-// turns by instruction count, never by timing, so on a fresh pipeline
-// the branch stream reaching the shared TAGE, ITTAGE and RAS, and with
-// it every context's mispredict bits, depends only on the recordings
-// in context order, their lengths, the quantum and the branch
-// configuration. The run therefore replays the slot when it holds
-// exactly this mix under this configuration and quantum; it collects
-// its own outcomes for publication when the slot is empty or holds
-// another mix under them; otherwise, and whenever a context is not a
-// recording cursor at its first instruction, it predicts live and
-// leaves the slot alone. A prefix of a mix is another mix: cutting one
-// context short changes how the others interleave.
-func (p *Pipeline) beginMix(gens []trace.Generator) (*trace.Replay, *trace.MixOutcomes) {
-	for _, g := range gens {
-		if r, ok := g.(*trace.Replay); !ok || r.Pos() != 0 {
-			return nil, nil
-		}
-	}
-	lead := gens[0].(*trace.Replay)
-	held := lead.MixOutcomes()
-	if held != nil && (held.Quantum != p.smtQuantum() || !held.BranchConfig.Equal(p.branchConfig())) {
-		return nil, nil
-	}
-	if held != nil && sameMix(held, gens) {
-		for i, s := range p.ctxs {
-			s.brKnown = held.Contexts[i].Mispredicted
-		}
-		return lead, held
-	}
-	for i, s := range p.ctxs {
-		s.brSeen = make([]uint64, (gens[i].(*trace.Replay).Len()+63)/64)
-	}
-	return lead, held
-}
-
-// sameMix reports whether o covers exactly the recordings gens read,
-// in context order and at their lengths.
-func sameMix(o *trace.MixOutcomes, gens []trace.Generator) bool {
-	if len(o.Contexts) != len(gens) {
+// covers reports whether o holds the outcomes of a run over the
+// recordings gens read: the same recordings in context order, over the
+// same lengths. A lone context's outcomes also cover a shorter run, a
+// prefix of its one turn; cutting one context of a mix short changes
+// how the others interleave.
+func covers(o *trace.BranchOutcomes, gens []trace.Generator) bool {
+	if len(o.Lens) != len(gens) {
 		return false
 	}
-	for i, c := range o.Contexts {
-		r := gens[i].(*trace.Replay)
-		if c.Recording != r.ID() || c.Len != r.Len() {
+	for i, g := range gens {
+		r := g.(*trace.Replay)
+		if n := r.Len(); o.Recordings[i] != r.ID() || n > o.Lens[i] || n < o.Lens[i] && len(gens) > 1 {
 			return false
 		}
 	}
 	return true
 }
 
-// publishMix offers the outcomes the contexts collected over the
-// recordings gens read to later runs of the same mix. It replaces held,
-// what lead's mix slot held at run start; if another run published in
-// between, that publication stands.
-func (p *Pipeline) publishMix(lead *trace.Replay, held *trace.MixOutcomes, gens []trace.Generator) {
-	o := &trace.MixOutcomes{
+// endBranches offers the outcomes the contexts of a complete run
+// collected over the recordings gens read, if they collected any, to
+// later runs. It replaces held, what the slot held at run start; if
+// another run published in between, that publication stands.
+func (p *Pipeline) endBranches(cs []*ctxSlice, gens []trace.Generator, held *trace.BranchOutcomes) {
+	if cs[0].brSeen == nil {
+		return
+	}
+	o := &trace.BranchOutcomes{
 		BranchConfig: p.ownBranchConfig(),
-		Quantum:      p.smtQuantum(),
-		Contexts:     make([]trace.MixContext, len(gens)),
+		Quantum:      p.turnLength(len(cs)),
+		Recordings:   make([]trace.RecordingID, len(cs)),
+		Lens:         make([]int, len(cs)),
+		Mispredicted: make([][]uint64, len(cs)),
 	}
-	for i, s := range p.ctxs {
+	for i, s := range cs {
 		r := gens[i].(*trace.Replay)
-		o.Contexts[i] = trace.MixContext{Recording: r.ID(), Len: r.Len(), Mispredicted: s.brSeen}
+		o.Recordings[i], o.Lens[i], o.Mispredicted[i] = r.ID(), r.Len(), s.brSeen
 	}
-	lead.PublishMixOutcomes(held, o)
+	gens[0].(*trace.Replay).PublishBranchOutcomes(held, o)
 }
 
 // checkTrained panics when the last run replayed recorded outcomes: a
@@ -1006,9 +932,13 @@ func (p *Pipeline) ownBranchConfig() trace.BranchConfig {
 	return c
 }
 
-// smtQuantum returns how many instructions a context runs per turn of
-// an interleaved run: cfg.SMTQuantum, or one when that is not positive.
-func (p *Pipeline) smtQuantum() int {
+// turnLength returns how many instructions a context runs per turn of
+// a run over n contexts: cfg.SMTQuantum, or one when that is not
+// positive; 0 for a lone context, whose whole stream is one turn.
+func (p *Pipeline) turnLength(n int) int {
+	if n == 1 {
+		return 0
+	}
 	return max(p.cfg.SMTQuantum, 1)
 }
 

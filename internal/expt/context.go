@@ -240,9 +240,9 @@ func (c *Context) run(ctx context.Context, sim spec.Sim, pr Progress) (memoRun, 
 
 // simulate runs a canonical spec with a fresh engine from the spec
 // registry and returns the run and the composite behind the engine, if
-// any. A multi-context machine runs the spec's mix through the SMT
-// path; a single-context one runs the workload's stream alone. This is
-// the only place a spec becomes an engine.
+// any. Every machine, single-context or not, runs the spec's streams
+// through one pipeline call. This is the only place a spec becomes an
+// engine.
 func (c *Context) simulate(ctx context.Context, sim spec.Sim, pr Progress) (SMTResult, *core.Composite) {
 	eng, err := spec.NewEngine(sim.Predictor, c.insts, c.EngineSeedLabel(sim.WorkloadLabel()))
 	if err != nil {
@@ -250,13 +250,7 @@ func (c *Context) simulate(ctx context.Context, sim spec.Sim, pr Progress) (SMTR
 		// untrusted specs before reaching here.
 		panic("expt: " + err.Error())
 	}
-	label := configLabel(sim.Predictor)
-	var r SMTResult
-	if sim.Machine.NumContexts() > 1 {
-		r = c.runStreams(ctx, sim, label, eng, pr)
-	} else {
-		r.Merged = c.runStream(ctx, sim.Workload.Name, label, eng, sim.Machine.Config(), pr)
-	}
+	r := c.runStreams(ctx, sim, configLabel(sim.Predictor), eng, pr)
 	var comp *core.Composite
 	if ce, ok := eng.(*cpu.CompositeEngine); ok {
 		comp = ce.C
@@ -307,10 +301,12 @@ func (c *Context) EngineSeed(w trace.Workload) uint64 {
 }
 
 // RunEngineCfgCtx simulates workload w on core configuration cfg with
-// the supplied fresh engine, labelling the run config. The run is not
-// memoized. lvpbench-only.
+// the supplied fresh engine, labelling the run config, on a pooled
+// pipeline. The run is not memoized. lvpbench-only.
 func (c *Context) RunEngineCfgCtx(ctx context.Context, w trace.Workload, config string, eng cpu.Engine, cfg cpu.Config) stats.Run {
-	return c.runStream(ctx, w.Name, config, eng, cfg, Progress{})
+	p := cpu.Acquire(cfg, eng)
+	defer cpu.Release(p)
+	return p.RunCtx(ctx, c.gen(w.Name), w.Name, config)
 }
 
 // RunSMTCtx simulates a normalized multi-context spec with the supplied
@@ -318,19 +314,6 @@ func (c *Context) RunEngineCfgCtx(ctx context.Context, w trace.Workload, config 
 // labelled config. The run is not memoized. lvpbench-only.
 func (c *Context) RunSMTCtx(ctx context.Context, sim spec.Sim, config string, eng cpu.Engine) SMTResult {
 	return c.runStreams(ctx, sim, config, eng, Progress{})
-}
-
-// runStream simulates one stream on a pooled single-context pipeline.
-// Pipelines come from the package pool, so repeated runs reuse the
-// hierarchy, branch predictors, and scheduling rings.
-func (c *Context) runStream(ctx context.Context, stream, config string, eng cpu.Engine, cfg cpu.Config, pr Progress) stats.Run {
-	p := cpu.Acquire(cfg, eng)
-	defer cpu.Release(p)
-	if pr.All != nil {
-		// Attach after Acquire: the pool's Reset detaches slots.
-		p.SetProgress(pr.All, pr.Every)
-	}
-	return p.RunCtx(ctx, c.gen(stream), stream, config)
 }
 
 // gen returns the instruction source for one run of a stream: a cursor

@@ -29,9 +29,10 @@ type SMTResult struct {
 // Aborted reports whether the simulation was cut short.
 func (r SMTResult) Aborted() bool { return r.Merged.Aborted }
 
-// runStreams simulates a normalized multi-context spec on a pooled
-// pipeline with the supplied fresh engine: pr.All receives the
-// machine-wide snapshot and pr.Rows[i] context i's own.
+// runStreams simulates a normalized spec's streams, one per hardware
+// context, on a pooled pipeline with the supplied fresh engine: pr.All
+// receives the machine-wide snapshot and pr.Rows[i] context i's own.
+// Per is set on a multi-context machine only.
 func (c *Context) runStreams(ctx context.Context, sim spec.Sim, config string, eng cpu.Engine, pr Progress) SMTResult {
 	streams := sim.ContextStreams()
 	gens := make([]trace.Generator, len(streams))
@@ -47,10 +48,12 @@ func (c *Context) runStreams(ctx context.Context, sim spec.Sim, config string, e
 	if len(pr.Rows) > 0 {
 		p.SetProgressRows(pr.Rows, pr.Every)
 	}
-	merged := p.RunSMTCtx(ctx, gens, sim.ContextWorkloads(), sim.WorkloadLabel(), config)
-	per := make([]stats.Run, p.NumContexts())
-	for i := range per {
-		per[i] = p.ContextRun(i)
+	r := SMTResult{Merged: p.RunSMTCtx(ctx, gens, sim.ContextWorkloads(), sim.WorkloadLabel(), config)}
+	if p.NumContexts() > 1 {
+		r.Per = make([]stats.Run, p.NumContexts())
+		for i := range r.Per {
+			r.Per[i] = p.ContextRun(i)
+		}
 	}
-	return SMTResult{Merged: merged, Per: per}
+	return r
 }

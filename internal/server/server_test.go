@@ -341,23 +341,31 @@ func TestJobTimeout(t *testing.T) {
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	cases := []struct {
-		name string
-		body string
-		want int
+		name    string
+		body    string
+		want    int
+		mention string // a substring of the error body, if any
 	}{
-		{"unknown workload", `{"workload":"nope","predictor":"lvp"}`, 400},
-		{"unknown predictor", `{"workload":"gcc2k","predictor":"nope"}`, 400},
-		{"malformed json", `{"workload":`, 400},
-		{"unknown field", `{"workload":"gcc2k","bogus":1}`, 400},
+		{"unknown workload", `{"workload":"nope","predictor":"lvp"}`, 400, ""},
+		{"unknown predictor", `{"workload":"gcc2k","predictor":"nope"}`, 400, ""},
+		{"malformed json", `{"workload":`, 400, ""},
+		{"unknown field", `{"workload":"gcc2k","bogus":1}`, 400, ""},
+		// Sizes past their bounds: each once validated and then
+		// overflowed, spun or allocated without limit in a worker.
+		{"l1d_kb shifting to zero bytes", `{"workload":"gcc2k","machine":{"l1d_kb":18014398509481984}}`, 400, "l1d_kb"},
+		{"rob and mem_latency at 2^31", `{"workload":"gcc2k","machine":{"rob":2147483648,"mem_latency":2147483648}}`, 400, "rob"},
+		{"rob at 2^20", `{"workload":"gcc2k","machine":{"rob":1048576}}`, 400, "rob"},
+		{"entries_per at 2^40", `{"spec":{"workload":{"name":"gcc2k"},"predictor":{"entries_per":1099511627776}}}`, 400, "entries"},
 	}
 	for _, c := range cases {
 		resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(c.body))
 		if err != nil {
 			t.Fatal(err)
 		}
+		raw, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != c.want {
-			t.Errorf("%s: status = %d, want %d", c.name, resp.StatusCode, c.want)
+		if resp.StatusCode != c.want || !strings.Contains(string(raw), c.mention) {
+			t.Errorf("%s: status = %d, body %s, want %d naming %q", c.name, resp.StatusCode, raw, c.want, c.mention)
 		}
 	}
 	resp, err := ts.Client().Get(ts.URL + "/v1/jobs/j-999999")

@@ -205,20 +205,21 @@ func (m MachineSpec) Validate() error {
 	for _, f := range []struct {
 		name string
 		v    int
+		max  int
 	}{
-		{"fetch_width", m.FetchWidth}, {"fetch_to_exec", m.FetchToExec},
-		{"issue_width", m.IssueWidth}, {"commit_width", m.CommitWidth},
-		{"ls_lanes", m.LSLanes}, {"rob", m.ROB}, {"iq", m.IQ},
-		{"ldq", m.LDQ}, {"stq", m.STQ}, {"store_forward_lat", m.StoreForwardLat},
-		{"replay_penalty", m.ReplayPenalty}, {"mem_latency", m.MemLatency},
-		{"prefetch_degree", m.PrefetchDegree},
+		{"fetch_width", m.FetchWidth, maxWidth}, {"fetch_to_exec", m.FetchToExec, maxLatency},
+		{"issue_width", m.IssueWidth, maxWidth}, {"commit_width", m.CommitWidth, maxWidth},
+		{"ls_lanes", m.LSLanes, maxWidth}, {"rob", m.ROB, maxWindow}, {"iq", m.IQ, maxWindow},
+		{"ldq", m.LDQ, maxWindow}, {"stq", m.STQ, maxWindow}, {"store_forward_lat", m.StoreForwardLat, maxLatency},
+		{"replay_penalty", m.ReplayPenalty, maxLatency}, {"mem_latency", m.MemLatency, maxMemLatency},
+		{"prefetch_degree", m.PrefetchDegree, maxPrefetchDegree},
 	} {
-		if f.v < 0 {
-			return fmt.Errorf("machine: %s must be >= 0", f.name)
+		if f.v < 0 || f.v > f.max {
+			return fmt.Errorf("machine: %s must be in [0, %d]", f.name, f.max)
 		}
 	}
-	if m.PAQDepth != nil && *m.PAQDepth < 0 {
-		return fmt.Errorf("machine: paq_depth must be >= 0 (0 = unbounded)")
+	if m.PAQDepth != nil && (*m.PAQDepth < 0 || *m.PAQDepth > maxPAQDepth) {
+		return fmt.Errorf("machine: paq_depth must be in [0, %d] (0 = unbounded)", maxPAQDepth)
 	}
 	// Cache sizes must keep a power-of-two set count with Table III
 	// geometry (64B/128B lines, 4/8/16 ways).
@@ -233,8 +234,8 @@ func (m MachineSpec) Validate() error {
 		if c.kb == 0 {
 			continue
 		}
-		if c.kb < 0 {
-			return fmt.Errorf("machine: %s must be > 0", c.name)
+		if c.kb < 0 || c.kb > maxCacheKB {
+			return fmt.Errorf("machine: %s must be in [1, %d]", c.name, maxCacheKB)
 		}
 		bytes := c.kb << 10
 		if bytes%(c.line*c.ways) != 0 {
@@ -255,6 +256,25 @@ func (m MachineSpec) Validate() error {
 	}
 	return nil
 }
+
+// Upper bounds on the sizes, widths and latencies a spec may ask for.
+// Each leaves headroom over what the experiments use (the window
+// sweep's 896-entry ROB, Fig 3's and Table VI's 4,096-entry tables,
+// EVES at 32KB), and together they bound what one simulation
+// allocates: the pipeline's per-context cycle rings grow with ROB ×
+// the worst instruction latency, and every table and cache with its
+// size (TestBoundsAllocation builds a machine at every bound at once).
+const (
+	maxWidth          = 64   // fetch, issue and commit width, load/store lanes
+	maxWindow         = 1024 // ROB, IQ, LDQ and STQ entries
+	maxLatency        = 64   // fetch-to-execute depth, forwarding and replay cycles
+	maxMemLatency     = 512  // cycles
+	maxPrefetchDegree = 64
+	maxPAQDepth       = 1024
+	maxCacheKB        = 1 << 16 // per cache level
+	maxEntries        = 1 << 16 // per component table, and shared value-array slots
+	maxBudgetKB       = 1024    // EVES; a negative budget asks for its unbounded tables
+)
 
 // MaxContexts bounds the simulated SMT width. Eight covers every
 // shipped SMT design with headroom; the bound mostly protects the
@@ -365,15 +385,18 @@ func (p PredictorSpec) Validate() error {
 		return fmt.Errorf("unknown predictor family %q (want none|lvp|sap|cvp|cap|composite|best|eves)", p.Family)
 	}
 	for _, n := range p.Entries {
-		if n < 0 {
-			return fmt.Errorf("entries must be >= 0")
+		if n < 0 || n > maxEntries {
+			return fmt.Errorf("entries must be in [0, %d]", maxEntries)
 		}
 	}
-	if p.EntriesPer < 0 {
-		return fmt.Errorf("entries_per must be >= 0")
+	if p.EntriesPer < 0 || p.EntriesPer > maxEntries {
+		return fmt.Errorf("entries_per must be in [0, %d]", maxEntries)
 	}
-	if p.ValuePoolSlots < 0 {
-		return fmt.Errorf("value_pool_slots must be >= 0")
+	if p.ValuePoolSlots < 0 || p.ValuePoolSlots > maxEntries {
+		return fmt.Errorf("value_pool_slots must be in [0, %d]", maxEntries)
+	}
+	if p.BudgetKB > maxBudgetKB {
+		return fmt.Errorf("budget_kb must be at most %d (negative = unbounded)", maxBudgetKB)
 	}
 	if p.AM != "" && !amModes[p.AM] {
 		return fmt.Errorf("unknown accuracy monitor %q (want none|m|pc|pcinf)", p.AM)

@@ -220,6 +220,34 @@ func TestValidationErrors(t *testing.T) {
 		{"negative paq", Sim{Machine: MachineSpec{PAQDepth: intp(-1)}, Workload: WorkloadSpec{Name: "gcc2k"}}, "paq_depth"},
 		{"non-power-of-two cache sets", Sim{Machine: MachineSpec{L1DKB: 100}, Workload: WorkloadSpec{Name: "gcc2k"}}, "power-of-two"},
 		{"cache not multiple of line*ways", Sim{Machine: MachineSpec{L3KB: 3}, Workload: WorkloadSpec{Name: "gcc2k"}}, "multiple of"},
+		{"fetch_width over its bound", Sim{Machine: MachineSpec{FetchWidth: maxWidth + 1}, Workload: WorkloadSpec{Name: "gcc2k"}}, "fetch_width must be"},
+		{"fetch_to_exec over its bound", Sim{Machine: MachineSpec{FetchToExec: maxLatency + 1}, Workload: WorkloadSpec{Name: "gcc2k"}}, "fetch_to_exec must be"},
+		{"issue_width over its bound", Sim{Machine: MachineSpec{IssueWidth: maxWidth + 1}, Workload: WorkloadSpec{Name: "gcc2k"}}, "issue_width must be"},
+		{"commit_width over its bound", Sim{Machine: MachineSpec{CommitWidth: maxWidth + 1}, Workload: WorkloadSpec{Name: "gcc2k"}}, "commit_width must be"},
+		{"ls_lanes over its bound", Sim{Machine: MachineSpec{LSLanes: maxWidth + 1}, Workload: WorkloadSpec{Name: "gcc2k"}}, "ls_lanes must be"},
+		{"rob over its bound", Sim{Machine: MachineSpec{ROB: maxWindow + 1}, Workload: WorkloadSpec{Name: "gcc2k"}}, "rob must be"},
+		{"rob at 2^31", Sim{Machine: MachineSpec{ROB: 1 << 31, MemLatency: 1 << 31}, Workload: WorkloadSpec{Name: "gcc2k"}}, "rob must be"},
+		{"iq over its bound", Sim{Machine: MachineSpec{IQ: maxWindow + 1}, Workload: WorkloadSpec{Name: "gcc2k"}}, "iq must be"},
+		{"ldq over its bound", Sim{Machine: MachineSpec{LDQ: maxWindow + 1}, Workload: WorkloadSpec{Name: "gcc2k"}}, "ldq must be"},
+		{"stq over its bound", Sim{Machine: MachineSpec{STQ: maxWindow + 1}, Workload: WorkloadSpec{Name: "gcc2k"}}, "stq must be"},
+		{"store_forward_lat over its bound", Sim{Machine: MachineSpec{StoreForwardLat: maxLatency + 1}, Workload: WorkloadSpec{Name: "gcc2k"}}, "store_forward_lat must be"},
+		{"replay_penalty over its bound", Sim{Machine: MachineSpec{ReplayPenalty: maxLatency + 1}, Workload: WorkloadSpec{Name: "gcc2k"}}, "replay_penalty must be"},
+		{"mem_latency over its bound", Sim{Machine: MachineSpec{MemLatency: maxMemLatency + 1}, Workload: WorkloadSpec{Name: "gcc2k"}}, "mem_latency must be"},
+		{"prefetch_degree over its bound", Sim{Machine: MachineSpec{PrefetchDegree: maxPrefetchDegree + 1}, Workload: WorkloadSpec{Name: "gcc2k"}}, "prefetch_degree must be"},
+		{"paq_depth over its bound", Sim{Machine: MachineSpec{PAQDepth: intp(maxPAQDepth + 1)}, Workload: WorkloadSpec{Name: "gcc2k"}}, "paq_depth must be"},
+		{"l1d_kb over its bound", Sim{Machine: MachineSpec{L1DKB: 2 * maxCacheKB}, Workload: WorkloadSpec{Name: "gcc2k"}}, "l1d_kb must be"},
+		{"l1d_kb shifting to zero bytes", Sim{Machine: MachineSpec{L1DKB: 1 << 54}, Workload: WorkloadSpec{Name: "gcc2k"}}, "l1d_kb must be"},
+		{"l2_kb over its bound", Sim{Machine: MachineSpec{L2KB: 2 * maxCacheKB}, Workload: WorkloadSpec{Name: "gcc2k"}}, "l2_kb must be"},
+		{"l3_kb over its bound", Sim{Machine: MachineSpec{L3KB: 2 * maxCacheKB}, Workload: WorkloadSpec{Name: "gcc2k"}}, "l3_kb must be"},
+		{"entries over its bound", Sim{Predictor: PredictorSpec{Entries: [core.NumComponents]int{maxEntries + 1, 0, 0, 0}}, Workload: WorkloadSpec{Name: "gcc2k"}}, "entries must be"},
+		{"entries_per over its bound", Sim{Predictor: PredictorSpec{EntriesPer: 1 << 40}, Workload: WorkloadSpec{Name: "gcc2k"}}, "entries must be"},
+		{"value_pool_slots over its bound", Sim{Predictor: PredictorSpec{ValuePoolSlots: maxEntries + 1}, Workload: WorkloadSpec{Name: "gcc2k"}}, "value_pool_slots must be"},
+		{"budget_kb over its bound", Sim{Predictor: PredictorSpec{Family: FamilyEVES, BudgetKB: maxBudgetKB + 1}, Workload: WorkloadSpec{Name: "gcc2k"}}, "budget_kb must be"},
+		{"every field at its bound", Sim{Machine: MachineSpec{FetchWidth: maxWidth, FetchToExec: maxLatency, IssueWidth: maxWidth,
+			CommitWidth: maxWidth, LSLanes: maxWidth, ROB: maxWindow, IQ: maxWindow, LDQ: maxWindow, STQ: maxWindow,
+			StoreForwardLat: maxLatency, PAQDepth: intp(maxPAQDepth), ReplayPenalty: maxLatency, L1DKB: maxCacheKB,
+			L2KB: maxCacheKB, L3KB: maxCacheKB, MemLatency: maxMemLatency, PrefetchDegree: maxPrefetchDegree},
+			Predictor: PredictorSpec{EntriesPer: maxEntries, ValuePoolSlots: maxEntries}, Workload: WorkloadSpec{Name: "gcc2k"}}, ""},
 	}
 	for _, c := range cases {
 		sim := c.sim

@@ -28,14 +28,24 @@ type Replay struct {
 // instructions and memory image: the outcome slots. Its address
 // identifies the recording (see RecordingID).
 type recording struct {
-	// branches holds the outcomes of single-context runs over the
-	// recording, mix those of interleaved runs whose context 0 it is.
+	// alone holds the branch outcomes of runs over the recording
+	// alone, lead those of interleaved runs whose context 0 it is.
 	// The two kinds of run feed the branch predictors different
-	// streams, so each keeps its own slot. hier holds what the memory
-	// hierarchy made of a single-context run.
-	branches atomic.Pointer[BranchOutcomes]
-	mix      atomic.Pointer[MixOutcomes]
-	hier     atomic.Pointer[HierarchyOutcomes]
+	// streams, and one recording often leads both in turn, so each
+	// keeps its own slot. hier holds what the memory hierarchy made of
+	// a run over the recording alone.
+	alone atomic.Pointer[BranchOutcomes]
+	lead  atomic.Pointer[BranchOutcomes]
+	hier  atomic.Pointer[HierarchyOutcomes]
+}
+
+// branchSlot returns the slot of the branch outcomes of runs over the
+// given number of contexts.
+func (r *recording) branchSlot(contexts int) *atomic.Pointer[BranchOutcomes] {
+	if contexts > 1 {
+		return &r.lead
+	}
+	return &r.alone
 }
 
 // RecordingID identifies a recording: every cursor over it, prefixes
@@ -56,40 +66,27 @@ func (c BranchConfig) Equal(o BranchConfig) bool {
 	return c.TAGE.Equal(o.TAGE) && c.ITTAGE.Equal(o.ITTAGE) && c.RASSize == o.RASSize
 }
 
-// BranchOutcomes is what a branch predictor made of the first Len
-// instructions of a recording: one mispredict bit per instruction,
-// computed under the configuration it names. A single-context run's
-// branch outcomes depend only on the instruction stream and the branch
-// configuration, so the pipeline computes them on a recording's first
-// run and replays them on later ones (DESIGN.md §8). Published outcomes
-// are read-only.
+// BranchOutcomes is what the branch predictors made of a run over
+// recordings, one per hardware context, each from its first
+// instruction, the contexts taking turns of Quantum instructions in
+// context order: one mispredict bit per instruction and context,
+// computed under the configuration it names. The turns follow
+// instruction counts alone, so on freshly reset predictors these
+// outcomes depend only on the recordings in context order, the
+// instructions of each the run covered, the quantum and the branch
+// configuration; the pipeline computes them on a run's first
+// occurrence and replays them on later ones (DESIGN.md §8). Published
+// outcomes are read-only.
 type BranchOutcomes struct {
 	BranchConfig
+	Quantum int // instructions per turn; 0 for a lone context, whose stream is one turn
 
-	Len          int      // instructions covered, from the first
-	Mispredicted []uint64 // bit i%64 of word i/64: instruction i mispredicted
-}
-
-// MixOutcomes is what the shared branch predictors made of an
-// interleaved run over several recordings, one per hardware context,
-// each from its first instruction to its end, taking turns of Quantum
-// instructions. The turns follow instruction counts alone, so these
-// outcomes depend only on the recordings in context order, their
-// lengths, the quantum and the branch configuration; the pipeline
-// computes them on a mix's first run and replays them on later ones
-// (DESIGN.md §8). Published outcomes are read-only.
-type MixOutcomes struct {
-	BranchConfig
-	Quantum int
-
-	Contexts []MixContext // in context order
-}
-
-// MixContext is one context's part of a mix's outcomes.
-type MixContext struct {
-	Recording    RecordingID
-	Len          int      // the context's instructions, all of them run
-	Mispredicted []uint64 // bit i%64 of word i/64: instruction i mispredicted
+	// Per context, in context order: the recording, how many of its
+	// instructions the run covered from the first, and one bit per
+	// instruction (bit i%64 of word i/64: instruction i mispredicted).
+	Recordings   []RecordingID
+	Lens         []int
+	Mispredicted [][]uint64
 }
 
 // HierarchyOutcomes is what the memory hierarchy made of a complete
@@ -199,10 +196,10 @@ func (r *Replay) Cursor() *Replay {
 // instructions of the recording (0 or past-the-end means the whole
 // recording). External workloads resolve Build(n) through this: the
 // registered trace is recorded once and every budget replays a prefix.
-// A prefix shares the recording's outcome slots: single-context branch
-// outcomes cover instructions from the first, so they serve every
-// shorter run; hierarchy outcomes and a mix's outcomes name the length
-// they cover.
+// A prefix shares the recording's outcome slots: the branch outcomes
+// of a run over the recording alone cover instructions from the first,
+// so they serve every shorter run; hierarchy outcomes and a mix's
+// outcomes name the length they cover.
 func (r *Replay) CursorN(n uint64) *Replay {
 	insts := r.insts
 	if n > 0 && n < uint64(len(insts)) {
@@ -220,27 +217,22 @@ func (r *Replay) Pos() int { return r.pos }
 // ID returns the identity of the recording the cursor reads.
 func (r *Replay) ID() RecordingID { return RecordingID{r.rec} }
 
-// BranchOutcomes returns the single-context branch outcomes last
-// published for the recording, or nil when none has been.
-func (r *Replay) BranchOutcomes() *BranchOutcomes { return r.rec.branches.Load() }
-
-// PublishBranchOutcomes installs o as the recording's single-context
-// branch outcomes if the slot still holds old (nil for an empty slot)
-// and reports whether it did. Every cursor over the recording sees the
-// result.
-func (r *Replay) PublishBranchOutcomes(old, o *BranchOutcomes) bool {
-	return r.rec.branches.CompareAndSwap(old, o)
+// BranchOutcomes returns the branch outcomes last published for runs
+// over the given number of contexts that the recording leads, or nil
+// when none have been: one context means runs over the recording
+// alone, more mean interleaved runs with the recording as context 0.
+// Each kind keeps one slot, holding the last run of that kind
+// published, whatever its mix.
+func (r *Replay) BranchOutcomes(contexts int) *BranchOutcomes {
+	return r.rec.branchSlot(contexts).Load()
 }
 
-// MixOutcomes returns the outcomes last published for an interleaved
-// run with the recording as context 0, or nil when none has been.
-func (r *Replay) MixOutcomes() *MixOutcomes { return r.rec.mix.Load() }
-
-// PublishMixOutcomes installs o as the outcomes of an interleaved run
-// led by the recording if the slot still holds old (nil for an empty
-// slot) and reports whether it did.
-func (r *Replay) PublishMixOutcomes(old, o *MixOutcomes) bool {
-	return r.rec.mix.CompareAndSwap(old, o)
+// PublishBranchOutcomes installs o in the recording's slot for runs
+// over len(o.Lens) contexts if that slot still holds old (nil for an
+// empty slot) and reports whether it did. Every cursor over the
+// recording sees the result.
+func (r *Replay) PublishBranchOutcomes(old, o *BranchOutcomes) bool {
+	return r.rec.branchSlot(len(o.Lens)).CompareAndSwap(old, o)
 }
 
 // HierarchyOutcomes returns the hierarchy outcomes last published for
